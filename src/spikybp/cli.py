@@ -54,10 +54,6 @@ def parse_target(text: str, dim: int) -> _rec.SparseVector:
     return v
 
 
-def _load_matrix(path):
-    return read_matrix_text(path)
-
-
 def _target_or_y(args, mat) -> np.ndarray:
     if getattr(args, "target", None) is not None:
         v = parse_target(args.target, mat.n_cols)
@@ -69,13 +65,23 @@ def _target_or_y(args, mat) -> np.ndarray:
     return y
 
 
-def _spiky_law_from_args(args, n_rows: int, n_cols: int):
-    """Explicit (delta, R) wins; otherwise the planner, gated by --force."""
+def _law_from_args(args, shape: tuple[int, int] | None = None):
+    """--law, with a spiky law from --delta and --R given together.
+
+    Without them a spiky law comes from the planner for `shape`, gated by
+    --force; with no shape to plan for (moments) they are required.
+    """
+    if args.law == "gaussian":
+        return ScalarLaw.gaussian()
+    if args.law == "rademacher":
+        return ScalarLaw.rademacher()
     if (args.delta is None) != (args.big_r is None):
         raise ValueError("--delta and --R must be given together")
     if args.delta is not None:
         return ScalarLaw.spiky(args.delta, args.big_r)
-    plan = plan_parameters(n_rows, n_cols, args.c_lo, args.c_4)
+    if shape is None:
+        raise ValueError("spiky law needs --delta and --R")
+    plan = plan_parameters(*shape, args.c_lo, args.c_4)
     if not plan.feasible:
         bad = plan.first_violated
         msg = f"plan infeasible: {bad.name} violated, {bad.detail}"
@@ -119,12 +125,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.law == "gaussian":
-        law = ScalarLaw.gaussian()
-    elif args.law == "rademacher":
-        law = ScalarLaw.rademacher()
-    else:
-        law = _spiky_law_from_args(args, args.n_rows, args.n_cols)
+    law = _law_from_args(args, (args.n_rows, args.n_cols))
     spec = EnsembleSpec(law, args.n_rows, args.n_cols, args.seed,
                         apply_row_scale=not args.no_row_scale)
     mat = sample_matrix(spec)
@@ -138,14 +139,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if args.law == "gaussian":
-        law = ScalarLaw.gaussian()
-    elif args.law == "rademacher":
-        law = ScalarLaw.rademacher()
-    else:
-        if args.delta is None or args.big_r is None:
-            raise ValueError("spiky law needs --delta and --R")
-        law = ScalarLaw.spiky(args.delta, args.big_r)
+    law = _law_from_args(args)
     p = args.p
     print(f"law: {law.kind}" + (f" delta={law.delta!r} R={law.big_r!r}"
                                 if law.kind == "spiky" else ""))
@@ -161,7 +155,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    mat = _load_matrix(args.matrix)
+    mat = read_matrix_text(args.matrix)
     v = parse_target(args.target, mat.n_cols)
     cert = _certify.er_failure_certificate(mat, v, feas_tol=args.feas_tol)
     if cert is None:
@@ -179,7 +173,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_nsp(args) -> int:
-    mat = _load_matrix(args.matrix)
+    mat = read_matrix_text(args.matrix)
     verdict = _certify.er_check_nsp(mat, args.d,
                                     strict_margin_tol=args.margin_tol)
     print(_certify.format_verdict(verdict))
@@ -187,7 +181,7 @@ def cmd_nsp(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    mat = _load_matrix(args.matrix)
+    mat = read_matrix_text(args.matrix)
     y = _target_or_y(args, mat)
     result = _rec.basis_pursuit(mat, y, feas_tol=args.feas_tol)
     if args.unique:
@@ -209,7 +203,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_l0(args) -> int:
-    mat = _load_matrix(args.matrix)
+    mat = read_matrix_text(args.matrix)
     if mat.n_cols > 2000 and args.d_max >= 3:
         print(f"warning: d_max={args.d_max} enumerates C({mat.n_cols},3) "
               "supports; expect a long run", file=sys.stderr)
@@ -222,7 +216,7 @@ def cmd_l0(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    mat = _load_matrix(args.matrix)
+    mat = read_matrix_text(args.matrix)
     s_set = tuple(k - 1 for k in args.s)
     if any(k < 0 for k in s_set):
         raise ValueError("--s takes 1-based column indices")
@@ -348,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also decide uniqueness of the minimizer")
     sp.add_argument("--feas-tol", dest="feas_tol", type=float, default=1e-9)
     sp.add_argument("--uniqueness-tol", dest="uniqueness_tol", type=float,
-                    default=_rec.UNIQUENESS_TOL)
+                    default=_rec.UNIQUENESS_TOL,
+                    help="margin in [0, 1): unique only if the strict-dual "
+                         "value is below 1 - this (default %(default)g)")
     sp.add_argument("--out", help="write the dense minimizer here")
     sp.set_defaults(func=cmd_recover)
 

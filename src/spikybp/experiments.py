@@ -220,27 +220,6 @@ def run_cell(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     return TrialStats(_aggregate(records, checks), records, plan)
 
 
-def run_theorem_a(config: ExperimentConfig, threads: int = 1) -> TrialStats:
-    """Failure-certificate scan (column 1 first) plus spike/clean events."""
-    trimmed = config.checks & frozenset({CHECK_FAILURE, CHECK_CLEAN,
-                                         CHECK_SPIKE})
-    cfg = ExperimentConfig(config.n_rows, config.n_cols, config.trials,
-                           config.base_seed, trimmed or DEFAULT_CHECKS,
-                           config.planner_overrides, config.c_lo,
-                           config.c_4, config.force)
-    return run_cell(cfg, threads)
-
-
-def run_l0_companion(config: ExperimentConfig, threads: int = 1) -> TrialStats:
-    """On the same seeded matrices: no column parallel to column 1 AND
-    l0_brute_force(Gamma, Gamma e1, 1) = {e1}; joint frequency."""
-    cfg = ExperimentConfig(config.n_rows, config.n_cols, config.trials,
-                           config.base_seed, frozenset({CHECK_L0}),
-                           config.planner_overrides, config.c_lo,
-                           config.c_4, config.force)
-    return run_cell(cfg, threads)
-
-
 def run_gaussian_baseline(n_rows: int, n_cols: int, trials: int,
                           seed: int) -> TrialStats:
     """Frequency of the exact ER(1) verdict over seeded Gaussian matrices."""

@@ -1,8 +1,9 @@
 """Basis pursuit, per-target uniqueness certification, l0 brute force.
 
 Basis pursuit solves min ||t||_1 subject to Gamma t = y as an LP over the
-split t = t+ - t-.  Uniqueness is decided by measuring the coordinate ranges
-of the optimal face; l0 recovery enumerates supports of growing size.
+split t = t+ - t-.  Uniqueness of its minimizer is decided exactly by one
+strict-dual LP on the minimizer's support and signs; l0 recovery enumerates
+supports of growing size.
 """
 
 from __future__ import annotations
@@ -116,73 +117,66 @@ def basis_pursuit(gamma, y, feas_tol: float = 1e-9) -> RecoveryResult:
     return RecoveryResult(t, sol.objective_value, UNKNOWN, dual=sol.dual)
 
 
-def _face_program(g: np.ndarray, y: np.ndarray, budget: float):
-    """Equalities for {Gamma t = y, ||t||_1 <= budget} over (t+, t-, slack)."""
-    n_rows, n_cols = g.shape
-    a = np.zeros((n_rows + 1, 2 * n_cols + 1))
-    a[:n_rows, :n_cols] = g
-    a[:n_rows, n_cols:2 * n_cols] = -g
-    a[n_rows, :] = 1.0
-    b = np.concatenate([y, [budget]])
-    return a, b
-
-
 def certify_uniqueness(gamma, y, result: RecoveryResult,
                        uniqueness_tol: float = UNIQUENESS_TOL,
                        feas_tol: float = 1e-9) -> RecoveryResult:
-    """Resolve the unique field by probing coordinate ranges of the optimal face.
+    """Resolve the unique field of a basis-pursuit result by the strict-dual test.
 
-    The face is {Gamma t = y, ||t||_1 <= l1_value + slack} with slack
-    1e-8*(1 + l1_value).  Coordinates whose range on the face provably fits
-    inside uniqueness_tol are pruned using the basis-pursuit dual: with
-    g = Gamma' lam and strong duality, any face point satisfies
-    |t_k| * (1 - |g_k|) <= face slack, so large-|g_k| gaps need no LP.
+    With S the support of x* = result.minimizer (entries above feas_tol
+    relative to its largest), C the rest and sigma = sign(x*_S), x* is the
+    unique minimizer iff Gamma_S has full column rank and
+
+        value = max { -sigma'z_S : Gamma z = 0, ||z_C||_1 <= 1 } < 1
+
+    (Fuchs 2004; Zhang, Yin & Cheng 2015).  The verdict is UNIQUE iff the
+    rank holds and value < 1 - uniqueness_tol, so uniqueness_tol is a margin
+    on 1 - value.  One LP is solved, none when the rank fails.  A NOT_UNIQUE
+    result carries witness_alt = x* + eps*z, with z the optimal kernel
+    direction (or a null vector of Gamma_S) and eps <= 1 the largest step
+    that flips no sign on S: Gamma w = y and ||w||_1 <= l1_value +
+    eps*(1 - value).  result.dual is not used.
     """
+    if not 0.0 <= uniqueness_tol < 1.0:
+        raise ValueError("uniqueness_tol must lie in [0, 1)")
     g = _entries(gamma)
     n_rows, n_cols = g.shape
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if result.dual is None:
-        result = basis_pursuit(gamma, y, feas_tol)
-    value = result.l1_value
-    slack = 1e-8 * (1.0 + value)
-    budget = value + slack
+    if y.shape != (n_rows,):
+        raise ValueError("y length must match the number of matrix rows")
+    x = result.minimizer
+    on_s = np.abs(x) > feas_tol * float(np.abs(x).max(initial=0.0))
+    s_idx, c_idx = np.nonzero(on_s)[0], np.nonzero(~on_s)[0]
+    sigma = np.sign(x[s_idx])
+    k, m = s_idx.size, c_idx.size
 
-    corr = g.T @ result.dual
-    dual_excess = max(0.0, float(np.abs(corr).max(initial=0.0)) - 1.0)
-    # everything a face point can spend beyond the certified optimum
-    spend = max(0.0, budget - float(result.dual @ y)) + budget * dual_excess
-    gap = np.maximum(1.0 - np.abs(corr), 0.0)
-    with np.errstate(divide="ignore"):
-        cap = np.where(gap > 0.0, spend / np.where(gap > 0.0, gap, 1.0), np.inf)
-    candidates = np.nonzero(cap > 0.25 * uniqueness_tol)[0]
-
-    a, b = _face_program(g, y, budget)
-    width_max, widest_point = 0.0, None
-    for k in candidates:
-        lo_pt, hi_pt = None, None
-        lo_val = hi_val = float(result.minimizer[k])
-        for sense in (-1.0, 1.0):
-            c = np.zeros(2 * n_cols + 1)
-            c[k] = sense
-            c[n_cols + k] = -sense
-            sol = simplex.solve(simplex.LinearProgram(c, a, b), feas_tol)
-            if sol.status != simplex.OPTIMAL:
-                raise RuntimeError(f"face LP returned {sol.status}")
-            t = sol.x[:n_cols] - sol.x[n_cols:2 * n_cols]
-            if sense < 0:  # maximized t_k
-                hi_val, hi_pt = -sol.objective_value, t
-            else:
-                lo_val, lo_pt = sol.objective_value, t
-        width = hi_val - lo_val
-        if width > width_max:
-            width_max = width
-            # keep the extreme farther from the reported minimizer
-            d_hi = float(np.abs(hi_pt - result.minimizer).max())
-            d_lo = float(np.abs(lo_pt - result.minimizer).max())
-            widest_point = hi_pt if d_hi >= d_lo else lo_pt
-    if width_max > uniqueness_tol:
-        return replace(result, unique=NOT_UNIQUE, witness_alt=widest_point)
-    return replace(result, unique=UNIQUE, witness_alt=None)
+    z = np.zeros(n_cols)
+    g_s = g[:, s_idx]
+    if np.linalg.matrix_rank(g_s) < k:
+        null = np.linalg.svd(g_s)[2][-1]
+        z[s_idx] = -null if sigma @ null > 0.0 else null
+    else:
+        # variables (z_S free, z_C+ >= 0, z_C- >= 0, budget slack >= 0)
+        a = np.zeros((n_rows + 1, k + 2 * m + 1))
+        a[:n_rows, :k] = g_s
+        a[:n_rows, k:k + m] = g[:, c_idx]
+        a[:n_rows, k + m:k + 2 * m] = -g[:, c_idx]
+        a[n_rows, k:] = 1.0
+        b = np.zeros(n_rows + 1)
+        b[n_rows] = 1.0
+        lower = np.zeros(k + 2 * m + 1)
+        lower[:k] = -np.inf
+        c = np.zeros(k + 2 * m + 1)
+        c[:k] = sigma
+        sol = simplex.solve(simplex.LinearProgram(c, a, b, lower), feas_tol)
+        if sol.status != simplex.OPTIMAL:
+            raise RuntimeError(f"strict-dual LP returned {sol.status}")
+        if -sol.objective_value < 1.0 - uniqueness_tol:
+            return replace(result, unique=UNIQUE, witness_alt=None)
+        z[s_idx] = sol.x[:k]
+        z[c_idx] = sol.x[k:k + m] - sol.x[k + m:k + 2 * m]
+    shrink = s_idx[sigma * z[s_idx] < 0.0]
+    eps = float(np.min(np.abs(x[shrink] / z[shrink]), initial=1.0))
+    return replace(result, unique=NOT_UNIQUE, witness_alt=x + eps * z)
 
 
 def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVector]:

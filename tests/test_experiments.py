@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from spikybp import rng
 from spikybp.experiments import (CSV_HEADER, DEFAULT_CHECKS,
                                  ExperimentConfig, PlanInfeasibleError,
                                  SweepGrid, run_cell, run_gaussian_baseline,
-                                 run_l0_companion, run_theorem_a, sweep,
-                                 wilson_95)
+                                 sweep, wilson_95)
 
 import oracles
 
@@ -155,17 +155,17 @@ def test_certificate_attached_on_failure():
             assert r.certificate.target_index_set == (r.witness_j,)
 
 
-def test_run_theorem_a_trims_checks():
+def test_run_cell_trimmed_checks():
     cfg = small_config(trials=2, seed=5,
                        checks={"failure_cert", "l0_unique", "phi2"})
-    stats = run_theorem_a(cfg)
+    stats = run_cell(replace(cfg, checks=cfg.checks & DEFAULT_CHECKS))
     assert set(stats.per_check) == {"failure_cert"}
 
 
-def test_l0_companion_same_seeds():
+def test_l0_check_same_seeds():
     cfg = small_config(trials=2, seed=5)
-    a = run_theorem_a(cfg)
-    b = run_l0_companion(cfg)
+    a = run_cell(cfg)
+    b = run_cell(replace(cfg, checks=frozenset({"l0_unique"})))
     assert [r.seed for r in a.records] == [r.seed for r in b.records]
     assert all(r.l0_unique is not None for r in b.records)
     assert all(r.failure_found is None for r in b.records)

@@ -1,12 +1,39 @@
+import time
+
 import numpy as np
 import pytest
 
+from spikybp import cli, rng, simplex
 from spikybp import recovery as rec
 from spikybp.ensemble import EnsembleSpec, ScalarLaw, sample_matrix
 from spikybp.recovery import (NOT_UNIQUE, UNIQUE, UNKNOWN, NoSolutionError,
-                              SparseVector, basis_pursuit,
+                              RecoveryResult, SparseVector, basis_pursuit,
                               certify_uniqueness, l0_brute_force,
                               read_vector_text, write_vector_text)
+
+import oracles
+
+
+@pytest.fixture
+def lp_count(monkeypatch):
+    """Counts LPs solved through the simplex.solve module attribute."""
+    calls = []
+    solve = simplex.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", counted)
+    return calls
+
+
+def assert_valid_witness(g, y, res):
+    w = res.witness_alt
+    assert w is not None
+    assert np.allclose(g @ w, y, atol=1e-7)
+    assert np.sum(np.abs(w)) <= res.l1_value + 1e-6
+    assert np.max(np.abs(w - res.minimizer)) > 1e-7
 
 
 # ------------------------------------------------------------ SparseVector
@@ -75,11 +102,18 @@ def test_duplicate_columns_not_unique():
     res = certify_uniqueness(g, y, basis_pursuit(g, y))
     assert res.l1_value == pytest.approx(1.0, abs=1e-10)
     assert res.unique == NOT_UNIQUE
-    w = res.witness_alt
-    assert w is not None
-    assert np.allclose(g @ w, y, atol=1e-7)
-    assert np.sum(np.abs(w)) <= res.l1_value + 1e-6
-    assert np.max(np.abs(w - res.minimizer)) > 1e-7
+    assert_valid_witness(g, y, res)
+
+
+def test_non_vertex_minimizer_on_duplicate_columns(lp_count):
+    # x* splits its mass over two equal columns: Gamma_S is rank deficient,
+    # so the verdict needs no LP and the witness moves along its null vector
+    g = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+    y = g[:, 0].copy()
+    res = certify_uniqueness(g, y, RecoveryResult(np.array([0.5, 0.5, 0.0]), 1.0))
+    assert res.unique == NOT_UNIQUE
+    assert_valid_witness(g, y, res)
+    assert len(lp_count) == 0
 
 
 def test_no_solution_raises():
@@ -104,6 +138,83 @@ def test_gaussian_one_sparse_recovery():
         expect = np.zeros(20)
         expect[j] = s
         assert np.allclose(res.minimizer, expect, atol=1e-7)
+
+
+def test_small_nsp_margin_draws_are_unique():
+    # draws where a fixed face-width tolerance used to report 38/40 targets
+    # not unique although ER(1) holds with margins of 0.0029 and 0.0039
+    for seed, unit in ((1009, 1), (105, 4)):
+        g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20,
+                                       rng.mix_seed(seed, unit))).entries
+        for j in range(20):
+            for s in (1.0, -1.0):
+                y = s * g[:, j]
+                res = certify_uniqueness(g, y, basis_pursuit(g, y))
+                assert res.unique == UNIQUE, (seed, unit, j, s)
+
+
+def test_uniqueness_agrees_with_er1_oracle():
+    # +-e_j is the unique minimizer iff the least l1 representation r_j of
+    # column j by the others exceeds 1; at x* = e_j the strict-dual value is
+    # 1 / r_j, so uniqueness_tol flips the verdict at 1 - 1/r_j.  These draws
+    # fail ER(1) at 5 columns, so both verdicts occur.
+    failing = 0
+    for t in range(3):
+        g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 20,
+                                       rng.mix_seed(2026, t))).entries
+        r = oracles.er1_representation_norms(g)
+        failing += int(np.sum(r <= 1.0))
+        for j in range(20):
+            for s in (1.0, -1.0):
+                y = s * g[:, j]
+                e = np.zeros(20)
+                e[j] = s
+                bp = certify_uniqueness(g, y, basis_pursuit(g, y))
+                recovered = (bp.unique == UNIQUE
+                             and np.allclose(bp.minimizer, e, atol=1e-7))
+                at_e = certify_uniqueness(g, y, RecoveryResult(e, 1.0))
+                assert recovered == (r[j] > 1.0), (t, j, s)
+                assert (at_e.unique == UNIQUE) == (r[j] > 1.0), (t, j, s)
+                for res in (bp, at_e):
+                    if res.unique == NOT_UNIQUE:
+                        assert_valid_witness(g, y, res)
+                if r[j] > 1.0:
+                    margin = 1.0 - 1.0 / r[j]
+                    assert certify_uniqueness(
+                        g, y, at_e, uniqueness_tol=0.9 * margin).unique == UNIQUE
+                    assert certify_uniqueness(
+                        g, y, at_e, uniqueness_tol=1.1 * margin).unique == NOT_UNIQUE
+    assert failing == 5
+
+
+def test_uniqueness_solves_one_lp(lp_count, tmp_path, capsys):
+    mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20, seed=4))
+    y = mat.entries[:, 3].copy()
+    res = basis_pursuit(mat, y)
+    assert res.dual is not None
+    lp_count.clear()
+    assert certify_uniqueness(mat, y, res).unique == UNIQUE
+    assert len(lp_count) <= 1
+    # one basis-pursuit LP plus one strict-dual LP, also 4000 columns wide
+    path = str(tmp_path / "m.txt")
+    assert cli.run(["sample", "--N", "3", "--n", "2000", "--seed", "5",
+                    "--force", "--out", path]) == 0
+    lp_count.clear()
+    t0 = time.perf_counter()
+    assert cli.run(["recover", "--matrix", path, "--target", "e1",
+                    "--unique"]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert len(lp_count) <= 2
+    assert "unique: " in capsys.readouterr().out
+
+
+def test_uniqueness_tol_guard():
+    g = np.eye(2)
+    y = np.array([1.0, 0.0])
+    res = basis_pursuit(g, y)
+    for tol in (-1e-6, 1.0):
+        with pytest.raises(ValueError):
+            certify_uniqueness(g, y, res, uniqueness_tol=tol)
 
 
 def test_uniqueness_accepts_measurement_matrix():
