@@ -5,7 +5,12 @@ supp(v) with ||w||_1 <= 1 and Gamma w = Gamma v: it makes v and a distinct
 point share measurements and l1 budget, so basis pursuit cannot isolate v.
 The exact ER(d) verdict goes through the null space property: ER(d) holds
 iff for every kernel vector h and every |S| = d, ||h_S||_1 < ||h_{S^c}||_1,
-checked here as max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} < 1/2.
+i.e. iff max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} < 1/2.  For d = 1
+that maximum is 1/(1 + min_j r_j), with r_j the least l1 norm of a
+representation of column j by the others: a projector-based dual lower
+bound on every r_j orders the columns, and basis pursuit solves for r_j
+only until the next bound reaches the least r_j found.  For d = 2 one
+kernel LP per pair and sign pattern, up to h -> -h, gives the maximum.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng, simplex
-from .recovery import SparseVector, _entries
+from .recovery import NoSolutionError, SparseVector, _entries, basis_pursuit
 
 STRICT_MARGIN_TOL = 1e-7
 
@@ -100,26 +105,85 @@ def er_failure_certificate(gamma, v: SparseVector,
 
 def er_check_nsp(gamma, d: int,
                  strict_margin_tol: float = STRICT_MARGIN_TOL) -> NspVerdict:
-    """Exact ER(d) verdict via the null space property, one LP per (S, signs)."""
+    """Exact ER(d) verdict via the null space property.
+
+    worst_value is max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} over
+    |S| = d and signs s, and ER(d) holds iff it is below
+    1/2 - strict_margin_tol.  d = 1 goes through the least-l1
+    representation norms (_er1_worst), so worst_signs is the convention
+    (1,); d = 2 solves one kernel LP per pair and sign pattern up to h -> -h.
+    """
     g = _entries(gamma)
-    n_rows, n_cols = g.shape
+    n_cols = g.shape[1]
     if d not in (1, 2):
         raise ValueError("d must be 1 or 2")
+    if n_cols < d:
+        raise ValueError("need at least d columns")
     if d == 1 and n_cols > 4096:
         raise ValueError("d=1 verdict limited to n <= 4096")
     if d == 2 and n_cols > 256:
         raise ValueError("d=2 verdict limited to n <= 256")
+    if d == 1:
+        worst_value, worst_support, worst_signs = _er1_worst(g)
+    else:
+        worst_value, worst_support, worst_signs = _er2_worst(g)
+    margin = 0.5 - worst_value
+    return NspVerdict(d, worst_value < 0.5 - strict_margin_tol,
+                      worst_support, worst_signs, worst_value, margin)
+
+
+def _er1_worst(g: np.ndarray):
+    """(1/(1 + min_j r_j), (j,), (1,)) with r_j the least-l1 norm of a
+    representation of column a_j by the other columns (inf if none).
+
+    A kernel vector h with h_j = -1 has ||h_{-j}||_1 >= r_j, so
+    max |h_j| / ||h||_1 = 1/(1 + r_j).  Linearly independent columns give
+    r_j = inf for all j and no LP.  Otherwise each r_j has the dual lower
+    bound <y_j, a_j> / max_{i != j} |<y_j, a_i>| for any y_j; with y_j the
+    j-th row of pinv(Gamma), the products are row j of the projector onto
+    the row space.  Basis pursuit then solves for r_j in increasing-bound
+    order until the next bound reaches the least r_j found.
+    """
+    n_rows, n_cols = g.shape
+    best, worst_j = math.inf, 0
+    if np.linalg.matrix_rank(g) < n_cols:
+        y = np.linalg.pinv(g, rcond=max(g.shape) * np.finfo(float).eps)
+        p = y @ g
+        # covers the rounding of each product, so bound_j <= r_j holds
+        # and no denominator is zero unless y_j = 0 (then bound_j = 0)
+        slack = (2.0 * n_rows * np.finfo(float).eps
+                 * np.linalg.norm(y, axis=1)
+                 * np.linalg.norm(g, axis=0).max())
+        top = np.maximum(p.diagonal() - slack, 0.0)
+        np.fill_diagonal(p, 0.0)
+        den = np.abs(p).max(axis=1) + slack
+        bound = np.divide(top, den, out=np.zeros(n_cols), where=den > 0.0)
+        for j in np.argsort(bound, kind="stable"):
+            if bound[j] >= best:
+                break
+            others = np.arange(n_cols) != j
+            try:
+                r = basis_pursuit(g[:, others], g[:, j]).l1_value
+            except NoSolutionError:
+                continue  # a_j is outside the span of the others
+            if r < best:
+                best, worst_j = r, int(j)
+    return 1.0 / (1.0 + best), (worst_j,), (1,)
+
+
+def _er2_worst(g: np.ndarray):
+    """Max kernel LP value over pairs S and signs with s_1 = +1; the value
+    of (S, -s) equals that of (S, s) under h -> -h."""
+    n_rows, n_cols = g.shape
     a = np.zeros((n_rows + 1, 2 * n_cols + 1))
     a[:n_rows, :n_cols] = g
     a[:n_rows, n_cols:2 * n_cols] = -g
     a[n_rows, :] = 1.0
     b = np.zeros(n_rows + 1)
     b[n_rows] = 1.0
-    worst_value = -np.inf
-    worst_support: tuple[int, ...] = ()
-    worst_signs: tuple[int, ...] = ()
-    for support in itertools.combinations(range(n_cols), d):
-        for signs in itertools.product((1, -1), repeat=d):
+    worst = (-math.inf, (), ())
+    for support in itertools.combinations(range(n_cols), 2):
+        for signs in ((1, 1), (1, -1)):
             c = np.zeros(2 * n_cols + 1)
             for idx, s in zip(support, signs):
                 c[idx] = -float(s)
@@ -127,13 +191,9 @@ def er_check_nsp(gamma, d: int,
             sol = simplex.solve(simplex.LinearProgram(c, a, b))
             if sol.status != simplex.OPTIMAL:
                 raise RuntimeError(f"kernel LP returned {sol.status}")
-            value = -sol.objective_value
-            if value > worst_value:
-                worst_value = value
-                worst_support, worst_signs = support, signs
-    margin = 0.5 - worst_value
-    return NspVerdict(d, worst_value < 0.5 - strict_margin_tol,
-                      worst_support, worst_signs, worst_value, margin)
+            if -sol.objective_value > worst[0]:
+                worst = (-sol.objective_value, support, signs)
+    return worst
 
 
 def spike_event_probability(n_rows: int, n_cols: int, delta: float) -> float:

@@ -91,7 +91,6 @@ class RecoveryResult:
     l1_value: float
     unique: str = UNKNOWN
     witness_alt: np.ndarray | None = None
-    dual: np.ndarray | None = None
 
 
 def _entries(gamma) -> np.ndarray:
@@ -114,7 +113,7 @@ def basis_pursuit(gamma, y, feas_tol: float = 1e-9) -> RecoveryResult:
     if sol.status != simplex.OPTIMAL:
         raise RuntimeError(f"unexpected LP status {sol.status}")
     t = sol.x[:n_cols] - sol.x[n_cols:]
-    return RecoveryResult(t, sol.objective_value, UNKNOWN, dual=sol.dual)
+    return RecoveryResult(t, sol.objective_value, UNKNOWN)
 
 
 def certify_uniqueness(gamma, y, result: RecoveryResult,
@@ -134,7 +133,7 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     result carries witness_alt = x* + eps*z, with z the optimal kernel
     direction (or a null vector of Gamma_S) and eps <= 1 the largest step
     that flips no sign on S: Gamma w = y and ||w||_1 <= l1_value +
-    eps*(1 - value).  result.dual is not used.
+    eps*(1 - value).
     """
     if not 0.0 <= uniqueness_tol < 1.0:
         raise ValueError("uniqueness_tol must lie in [0, 1)")

@@ -156,6 +156,25 @@ def er1_representation_norms(g):
     return out
 
 
+def nsp_worst_value(g, d):
+    """max sum_S s_i h_i over Gamma h = 0, ||h||_1 <= 1, every |S| = d and
+    every sign pattern s: one HiGHS LP each over h = h+ - h-."""
+    g = np.asarray(g, float)
+    n_rows, n_cols = g.shape
+    best = -math.inf
+    for support in itertools.combinations(range(n_cols), d):
+        for signs in itertools.product((1.0, -1.0), repeat=d):
+            c = np.zeros(2 * n_cols)
+            for i, s in zip(support, signs):
+                c[i] -= s
+                c[n_cols + i] += s
+            res = linprog(c, A_ub=np.ones((1, 2 * n_cols)), b_ub=[1.0],
+                          A_eq=np.hstack([g, -g]), b_eq=np.zeros(n_rows),
+                          bounds=(0, None), method="highs")
+            best = max(best, -res.fun)
+    return best
+
+
 def gaussian_er1_rate(n_rows, n_cols, draws, seed):
     """(ER(1) held, draws) on numpy-seeded standard Gaussian matrices.
 

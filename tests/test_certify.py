@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,10 +62,28 @@ def test_certificate_text_roundtrip():
 
 # --------------------------------------------------------------- NSP check
 
-def test_nsp_identity_holds_with_half_margin():
-    verdict = ct.er_check_nsp(np.eye(5), 1)
+def er1_against_oracle(g):
+    """er_check_nsp(g, 1), run with warnings as errors, against the HiGHS
+    representation norms r: worst_value = 1 / (1 + min r) and the verdict
+    applies the strict margin rule to that value."""
+    r = oracles.er1_representation_norms(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = ct.er_check_nsp(g, 1)
+    expect = 1.0 / (1.0 + r.min())
+    assert verdict.worst_value == pytest.approx(expect, abs=1e-9)
+    assert verdict.holds == (expect < 0.5 - ct.STRICT_MARGIN_TOL)
+    assert r[verdict.worst_support[0]] == pytest.approx(r.min(), abs=1e-9)
+    assert verdict.worst_signs == (1,)
+    return verdict
+
+
+def test_nsp_identity_holds_with_half_margin(lp_count):
+    # independent columns: every r_j is infinite, with no LP
+    verdict = er1_against_oracle(np.eye(5))
     assert verdict.holds and verdict.d == 1
-    assert verdict.margin == pytest.approx(0.5, abs=1e-9)
+    assert verdict.worst_value == 0.0 and verdict.margin == 0.5
+    assert len(lp_count) == 0
 
 
 def test_nsp_duplicate_columns_fail():
@@ -88,6 +107,8 @@ def test_nsp_guards():
         ct.er_check_nsp(np.zeros((1, 5000)), 1)
     with pytest.raises(ValueError):
         ct.er_check_nsp(np.zeros((1, 300)), 2)
+    with pytest.raises(ValueError):
+        ct.er_check_nsp(np.zeros((2, 1)), 2)
 
 
 def test_nsp_agrees_with_per_target_uniqueness():
@@ -110,9 +131,10 @@ def test_nsp_agrees_with_per_target_uniqueness():
         assert verdict.holds == all_unique, f"seed {seed}"
 
 
-def test_nsp_agrees_with_highs_on_gaussian_baseline_draws():
+def test_nsp_agrees_with_highs_on_gaussian_baseline_draws(lp_count):
     # the first criterion-4 draws at 12x64; draw 3 fails ER(1), so both
-    # verdicts are exercised, and worst_value = 1 / (1 + min_j r_j)
+    # verdicts are exercised, and worst_value = 1 / (1 + min_j r_j).  The
+    # dual bounds prune all but a few of the 64 least-l1 LPs per draw.
     verdicts = []
     for t in range(4):
         mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 12, 64,
@@ -125,6 +147,63 @@ def test_nsp_agrees_with_highs_on_gaussian_baseline_draws():
                                                     abs=1e-9)
         verdicts.append(verdict.holds)
     assert False in verdicts and True in verdicts
+    assert len(lp_count) <= 128
+
+
+def _gaussian(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _zero_column():
+    g = _gaussian((4, 9), 5)
+    g[:, 2] = 0.0
+    return g
+
+
+def _repeated_row():
+    g = _gaussian((5, 12), 6)
+    g[4] = g[1]
+    return g
+
+
+@pytest.mark.parametrize("make, holds, max_lps", [
+    (lambda: DUP, False, 3),
+    (_zero_column, False, 9),
+    (lambda: _gaussian((6, 6), 7), True, 0),   # square: independent columns
+    (lambda: _gaussian((9, 5), 8), True, 0),   # tall
+    (_repeated_row, None, 12),
+    (lambda: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), False, 3),
+], ids=["dup", "zero_column", "square", "tall", "repeated_row",
+        "independent_column"])
+def test_er1_edge_cases_match_oracle(make, holds, max_lps, lp_count):
+    verdict = er1_against_oracle(make())
+    if holds is not None:
+        assert verdict.holds == holds
+    assert len(lp_count) <= max_lps
+
+
+def test_er1_small_baseline_draws_match_oracle(lp_count):
+    # the 8x8 draws of run_gaussian_baseline(8, 8, 5, 3): square and
+    # full rank, so every column is outside the span of the others
+    for t in range(5):
+        mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 8, 8,
+                                         rng.mix_seed(3, t)))
+        assert er1_against_oracle(mat.entries).holds
+    assert len(lp_count) == 0
+
+
+def test_nsp_d2_halves_the_sign_patterns(lp_count):
+    # (S, s) and (S, -s) have equal values under h -> -h, so 2 C(n, 2)
+    # LPs reach the maximum over all 4 C(n, 2) sign patterns
+    for t in range(3):
+        mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 10,
+                                         rng.mix_seed(2026, t)))
+        lp_count.clear()
+        verdict = ct.er_check_nsp(mat, 2)
+        assert len(lp_count) == 2 * math.comb(10, 2)
+        assert verdict.worst_signs[0] == 1
+        assert verdict.worst_value == pytest.approx(
+            oracles.nsp_worst_value(mat.entries, 2), abs=1e-9)
 
 
 def test_verdict_format():
