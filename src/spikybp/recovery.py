@@ -3,7 +3,9 @@
 Basis pursuit solves min ||t||_1 subject to Gamma t = y as an LP over the
 split t = t+ - t-.  Uniqueness of its minimizer is decided exactly by one
 strict-dual LP on the minimizer's support and signs; l0 recovery enumerates
-supports of growing size.
+supports of growing size, all columns at once for size 1, one numpy block
+of closed-form 2x2 solves per column for size 2, and one solve per triple
+for size 3.
 """
 
 from __future__ import annotations
@@ -178,12 +180,48 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     return replace(result, unique=NOT_UNIQUE, witness_alt=x + eps * z)
 
 
+def _pair_solutions(g, y, norms2, dots, thresh) -> list[SparseVector]:
+    """Every pair (i, j), i < j, whose columns fit y within thresh, in
+    itertools order; block i holds all j > i (see l0_brute_force)."""
+    n_rows, n_cols = g.shape
+    rcond2 = (np.finfo(np.float64).eps * max(n_rows, 2)) ** 2
+    found: list[SparseVector] = []
+    for i in range(n_cols - 1):
+        a, d_i, g_i = norms2[i], dots[i], g[:, i]
+        c, d_j, g_j = norms2[i + 1:], dots[i + 1:], g[:, i + 1:]
+        b = g_i @ g_j
+        det = a * c - b * b
+        # the Gram's largest eigenvalue; sigma ratio^2 = lambda_min/lambda_max
+        lam = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        full = det > rcond2 * lam * lam
+        safe = np.where(full, det, 1.0)
+        t_i = (c * d_i - b * d_j) / safe
+        t_j = (a * d_j - b * d_i) / safe
+        res = np.linalg.norm(y[:, None] - g_i[:, None] * t_i - g_j * t_j, axis=0)
+        hits = np.nonzero(full & (res <= thresh) & (t_i != 0.0) & (t_j != 0.0))[0]
+        found.extend(SparseVector(n_cols, (i, i + 1 + int(k)),
+                                  (float(t_i[k]), float(t_j[k])))
+                     for k in hits)
+    return found
+
+
 def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVector]:
     """All minimal-size supports solving Gamma t = y, by enumeration.
 
     Stops at the first size s with a least-squares residual below
-    res_tol*(1 + ||y||_2) and returns every support of that size.  More than
-    one returned support means l0 recovery is not unique.
+    res_tol*(1 + ||y||_2) and returns every support of that size, in
+    itertools.combinations order.  More than one returned support means l0
+    recovery is not unique.
+
+    Every residual is the explicit norm ||y - Gamma_S t||, never
+    ||y||^2 - t.(Gamma_S'y), which loses half the digits.  Size 1 uses the
+    closed-form coefficient of each column.  Size 2 solves the pairs
+    (i, j > i) of one column i at once, each 2x2 Gram system by Cramer's
+    rule; memory is O(N n).  Rank-deficient pairs (sigma_min/sigma_max <=
+    eps*max(N, 2), lstsq's default rcond) are skipped: two parallel columns
+    span at most the line of one of them, where size 1 has already looked,
+    so such a pair is never a minimal solution.  Size 3 loops over triples
+    with one dense solve each.
     """
     g = _entries(gamma)
     n_rows, n_cols = g.shape
@@ -194,23 +232,24 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
         raise ValueError("d_max must lie in [0, 3]")
     if n_rows < d_max:
         raise ValueError("d_max cannot exceed the number of rows")
-    thresh = res_tol * (1.0 + float(np.linalg.norm(y)))
-    ny2 = float(y @ y)
-    if np.sqrt(ny2) <= thresh:
+    norm_y = float(np.linalg.norm(y))
+    thresh = res_tol * (1.0 + norm_y)
+    if norm_y <= thresh:
         return [SparseVector(n_cols, (), ())]
+    dots = g.T @ y
+    norms2 = np.einsum("ij,ij->j", g, g)
     found: list[SparseVector] = []
     for s in range(1, d_max + 1):
         if s == 1:
-            # closed form: residual^2 = ||y||^2 - (g_j.y)^2/||g_j||^2
-            dots = g.T @ y
-            norms2 = np.einsum("ij,ij->j", g, g)
             ok = norms2 > 0.0
             coef = np.zeros(n_cols)
             coef[ok] = dots[ok] / norms2[ok]
-            res2 = np.maximum(ny2 - coef * dots, 0.0)
-            hits = np.nonzero(ok & (np.sqrt(res2) <= thresh) & (coef != 0.0))[0]
+            res = np.linalg.norm(y[:, None] - g * coef, axis=0)
+            hits = np.nonzero(ok & (res <= thresh) & (coef != 0.0))[0]
             found = [SparseVector(n_cols, (int(j),), (float(coef[j]),))
                      for j in hits]
+        elif s == 2:
+            found = _pair_solutions(g, y, norms2, dots, thresh)
         else:
             for supp in itertools.combinations(range(n_cols), s):
                 sub = g[:, supp]

@@ -2,8 +2,9 @@
 
 Nothing in here imports the package under test.  Moments go through mpmath
 at 50 digits, linear programs through brute-force vertex enumeration,
-probabilities through numpy.random Monte Carlo, and the compatibility
-minimum through a dense grid plus an SLSQP polish.  Slow is fine.
+probabilities through numpy.random Monte Carlo, the compatibility
+minimum through a dense grid plus an SLSQP polish, and l0 pairs through
+one dense solve per pair.  Slow is fine.
 """
 
 import itertools
@@ -187,6 +188,28 @@ def gaussian_er1_rate(n_rows, n_cols, draws, seed):
         g = gen.standard_normal((n_rows, n_cols)) / math.sqrt(n_rows)
         held += bool(np.all(er1_representation_norms(g) > 1.0))
     return held, draws
+
+
+# --------------------------------------------------------------- l0 pairs
+
+def l0_pairs_loop(g, y, res_tol=1e-8):
+    """[(support, values)] of every column pair fitting y, itertools order.
+
+    One dense solve of the 2x2 Gram system per pair, lstsq when it is
+    singular; a pair fits when ||y - g_S t|| <= res_tol*(1 + ||y||) and
+    both values are nonzero.
+    """
+    thresh = res_tol * (1.0 + np.linalg.norm(y))
+    found = []
+    for supp in itertools.combinations(range(g.shape[1]), 2):
+        sub = g[:, supp]
+        try:
+            t = np.linalg.solve(sub.T @ sub, sub.T @ y)
+        except np.linalg.LinAlgError:
+            t, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        if np.linalg.norm(y - sub @ t) <= thresh and np.all(t != 0.0):
+            found.append((supp, t))
+    return found
 
 
 # ------------------------------------------------- compatibility minimum

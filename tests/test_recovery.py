@@ -5,7 +5,8 @@ import pytest
 
 from spikybp import cli, rng
 from spikybp import recovery as rec
-from spikybp.ensemble import EnsembleSpec, ScalarLaw, sample_matrix
+from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
+                              sample_matrix)
 from spikybp.recovery import (NOT_UNIQUE, UNIQUE, UNKNOWN, NoSolutionError,
                               RecoveryResult, SparseVector, basis_pursuit,
                               certify_uniqueness, l0_brute_force,
@@ -248,6 +249,68 @@ def test_l0_no_solution_within_budget():
     g = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     y = np.array([1.0, 1.0, 1.0])  # outside the column span entirely
     assert l0_brute_force(g, y, 2) == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 10.0])
+def test_l0_size_one_finds_every_scaled_column(scale):
+    # ||y||^2 - coef*dots loses half the digits, about 1.5e-8*||y|| of
+    # residual error against a 1e-8*(1 + ||y||) threshold; on these draws it
+    # missed 57, 440 and 597 of 2000 targets and fell through to size 2
+    gen = np.random.default_rng(1)
+    for _ in range(2000):
+        g = gen.standard_normal((3, 4))
+        sols = l0_brute_force(g, scale * g[:, 0], 2)
+        assert {len(s.support) for s in sols} == {1}
+        assert (0,) in {s.support for s in sols}
+
+
+def _pair_inputs():
+    """Gaussian, Rademacher and spiky draws with a zero column and
+    +-duplicate columns, then a 3x400 spiky prefix, each with a target."""
+    gen = np.random.default_rng(2026)
+    spiky = plan_parameters(3, 10**4).law()
+    for n_rows in range(2, 7):
+        for n_cols in (6, 17, 40):
+            for law in (ScalarLaw.gaussian(), ScalarLaw.rademacher(),
+                        spiky) * 3:
+                spec = EnsembleSpec(law, n_rows, n_cols,
+                                    int(gen.integers(2**31)))
+                g = sample_matrix(spec).entries.copy()
+                i, j, k, m = gen.choice(n_cols, 4, replace=False)
+                g[:, i] = 0.0
+                g[:, j] = g[:, k]
+                g[:, m] = -g[:, k]
+                a, b = gen.choice(n_cols, 2, replace=False)
+                yield g, g[:, a] + 0.5 * g[:, b]
+                yield g, gen.standard_normal(n_rows)
+    # as perfbench's l0_pairs workload builds it
+    g = sample_matrix(EnsembleSpec(spiky, 3, 400, 2026)).entries
+    a, b = np.random.default_rng(2026).choice(400, 2, replace=False)
+    yield g, g[:, a] + 0.5 * g[:, b]
+
+
+@pytest.mark.filterwarnings("error")
+def test_l0_pairs_match_loop_oracle():
+    eps = np.finfo(np.float64).eps
+    inputs = solutions = 0
+    for g, y in _pair_inputs():
+        if l0_brute_force(g, y, 1):
+            continue
+        sols = l0_brute_force(g, y, 2)
+        expect = oracles.l0_pairs_loop(g, y)
+        assert [s.support for s in sols] == [supp for supp, _ in expect]
+        inputs += 1
+        solutions += len(sols)
+        if not sols:
+            continue
+        got = np.array([s.values for s in sols])
+        want = np.array([t for _, t in expect])
+        subs = g[:, [supp for supp, _ in expect]].transpose(1, 0, 2)
+        # both solvers are forward-accurate to about cond(Gram)*eps
+        tol = 1e-12 + np.linalg.cond(subs.transpose(0, 2, 1) @ subs) * eps
+        assert np.all(np.abs(got - want).max(axis=1)
+                      <= tol * np.abs(want).max(axis=1))
+    assert inputs >= 200 and solutions >= 20_000
 
 
 def test_l0_guards():
