@@ -204,9 +204,6 @@ def cmd_recover(args) -> int:
 
 def cmd_l0(args) -> int:
     mat = read_matrix_text(args.matrix)
-    if mat.n_cols > 2000 and args.d_max >= 3:
-        print(f"warning: d_max={args.d_max} enumerates C({mat.n_cols},3) "
-              "supports; expect a long run", file=sys.stderr)
     y = _target_or_y(args, mat)
     sols = _rec.l0_brute_force(mat, y, args.d_max, res_tol=args.res_tol)
     print(f"solutions: {len(sols)}")

@@ -5,12 +5,19 @@ split t = t+ - t-.  Uniqueness of its minimizer is decided exactly by one
 strict-dual LP on the minimizer's support and signs; l0 recovery enumerates
 supports of growing size, all columns at once for size 1, one numpy block
 of closed-form 2x2 solves per column for size 2, and one solve per triple
-for size 3.
+for size 3, within a budget of L0_TRIPLE_BUDGET triples.
+
+SparseVector's constructor checks what it is given, because parse and
+from_dense take input from outside the program.  The l0 search builds its
+solutions without those checks (_solution_list): at N = 3 columns collide
+and one search returns thousands of solutions, and the checks cost more
+than the search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +30,11 @@ NOT_UNIQUE = "not_unique"
 UNKNOWN = "unknown"
 
 UNIQUENESS_TOL = 1e-6
+
+# Most size-3 supports l0_brute_force will enumerate.  One triple costs about
+# 21 us (a 3x3 solve and a residual; Gaussian 4x60 and 5x40, one Xeon core),
+# so 3e6 triples take about a minute; C(n, 3) passes it from n = 264 on.
+L0_TRIPLE_BUDGET = 3_000_000
 
 
 class NoSolutionError(RuntimeError):
@@ -46,6 +58,8 @@ class SparseVector:
             raise ValueError("support index out of range")
         if any(v == 0.0 for v in values):
             raise ValueError("stored values must be nonzero")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("stored values must be finite")
         order = sorted(range(len(support)), key=lambda a: support[a])
         object.__setattr__(self, "support", tuple(support[a] for a in order))
         object.__setattr__(self, "values", tuple(values[a] for a in order))
@@ -180,6 +194,21 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     return replace(result, unique=NOT_UNIQUE, witness_alt=x + eps * z)
 
 
+def _solution_list(n_cols: int, supports, values) -> list[SparseVector]:
+    """SparseVectors from rows of plain ints and floats (.tolist() rows of
+    hit indices and coefficients), without the constructor's checks:
+    l0_brute_force makes every row sorted, distinct, in range, finite and
+    nonzero (see there)."""
+    found = []
+    for supp, vals in zip(supports, values):
+        v = object.__new__(SparseVector)
+        object.__setattr__(v, "dim", n_cols)
+        object.__setattr__(v, "support", tuple(supp))
+        object.__setattr__(v, "values", tuple(vals))
+        found.append(v)
+    return found
+
+
 def _pair_solutions(g, y, norms2, dots, thresh) -> list[SparseVector]:
     """Every pair (i, j), i < j, whose columns fit y within thresh, in
     itertools order; block i holds all j > i (see l0_brute_force)."""
@@ -199,9 +228,11 @@ def _pair_solutions(g, y, norms2, dots, thresh) -> list[SparseVector]:
         t_j = (a * d_j - b * d_i) / safe
         res = np.linalg.norm(y[:, None] - g_i[:, None] * t_i - g_j * t_j, axis=0)
         hits = np.nonzero(full & (res <= thresh) & (t_i != 0.0) & (t_j != 0.0))[0]
-        found.extend(SparseVector(n_cols, (i, i + 1 + int(k)),
-                                  (float(t_i[k]), float(t_j[k])))
-                     for k in hits)
+        if hits.size:
+            found += _solution_list(
+                n_cols,
+                np.column_stack([np.full(hits.size, i), i + 1 + hits]).tolist(),
+                np.column_stack([t_i[hits], t_j[hits]]).tolist())
     return found
 
 
@@ -221,7 +252,16 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
     eps*max(N, 2), lstsq's default rcond) are skipped: two parallel columns
     span at most the line of one of them, where size 1 has already looked,
     so such a pair is never a minimal solution.  Size 3 loops over triples
-    with one dense solve each.
+    with one dense solve each; it raises ValueError before the first triple
+    when C(n, 3) exceeds L0_TRIPLE_BUDGET (about a minute of solves).
+    Searches that stop at size 1 or 2 never reach that check.
+
+    The solutions skip SparseVector's checks, which hold by construction:
+    indices come from np.nonzero or itertools.combinations, so a support is
+    sorted, distinct and in range; the hit masks keep only nonzero
+    coefficients; and a NaN or infinite coefficient makes the residual NaN
+    or infinite, which fails residual <= threshold.  The list equals, object
+    by object and in order, what the checking constructor would build.
     """
     g = _entries(gamma)
     n_rows, n_cols = g.shape
@@ -246,12 +286,18 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
             coef[ok] = dots[ok] / norms2[ok]
             res = np.linalg.norm(y[:, None] - g * coef, axis=0)
             hits = np.nonzero(ok & (res <= thresh) & (coef != 0.0))[0]
-            found = [SparseVector(n_cols, (int(j),), (float(coef[j]),))
-                     for j in hits]
+            found = _solution_list(n_cols, hits[:, None].tolist(),
+                                   coef[hits, None].tolist())
         elif s == 2:
             found = _pair_solutions(g, y, norms2, dots, thresh)
         else:
-            for supp in itertools.combinations(range(n_cols), s):
+            if math.comb(n_cols, 3) > L0_TRIPLE_BUDGET:
+                raise ValueError(
+                    f"l0 size 3 would enumerate C({n_cols},3) = "
+                    f"{math.comb(n_cols, 3)} supports, more than the budget "
+                    f"of {L0_TRIPLE_BUDGET}; use d_max <= 2 or fewer columns")
+            supports, values = [], []
+            for supp in itertools.combinations(range(n_cols), 3):
                 sub = g[:, supp]
                 gram = sub.T @ sub
                 try:
@@ -259,7 +305,9 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
                 except np.linalg.LinAlgError:
                     t, *_ = np.linalg.lstsq(sub, y, rcond=None)
                 if np.linalg.norm(y - sub @ t) <= thresh and np.all(t != 0.0):
-                    found.append(SparseVector(n_cols, supp, tuple(map(float, t))))
+                    supports.append(supp)
+                    values.append(t.tolist())
+            found = _solution_list(n_cols, supports, values)
         if found:
             return found
     return []

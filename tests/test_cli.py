@@ -169,6 +169,17 @@ def test_l0_command(dup_file, capsys):
     assert "solutions: 2" in out
 
 
+def test_l0_triple_budget_exits_1(tmp_path, capsys):
+    gen = np.random.default_rng(3)
+    m, z = tmp_path / "wide.txt", tmp_path / "y.txt"
+    write_matrix_text(MeasurementMatrix(3, 300, gen.standard_normal((3, 300)),
+                                        1.0), m)
+    z.write_text("0.3 -1.2 0.8\n")
+    assert cli.run(["l0", "--matrix", str(m), "--y", str(z),
+                    "--d-max", "3"]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
 def test_compat_command(identity_file, capsys):
     assert cli.run(["compat", "--matrix", identity_file, "--s", "1",
                     "--L", "1"]) == 0

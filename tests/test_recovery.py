@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -40,6 +41,9 @@ def test_sparse_vector_validation():
         SparseVector(5, (1,), (0.0,))  # stored zero
     with pytest.raises(ValueError):
         SparseVector(5, (1, 2), (1.0,))  # length mismatch
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            SparseVector(5, (1, 2), (1.0, bad))  # non-finite
 
 
 def test_dense_roundtrip_and_l1():
@@ -64,7 +68,8 @@ def test_format_parse_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "5", "5; 1:", "5; a:1", "5; 9:1", "x; 1:2"):
+    for text in ("", "5", "5; 1:", "5; a:1", "5; 9:1", "x; 1:2",
+                 "3; 0:nan", "3; 0:inf", "3; 1:1,2:-inf"):
         with pytest.raises(ValueError):
             SparseVector.parse(text)
 
@@ -313,7 +318,7 @@ def test_l0_pairs_match_loop_oracle():
     assert inputs >= 200 and solutions >= 20_000
 
 
-def test_l0_guards():
+def test_l0_guards(monkeypatch):
     g = np.eye(3)
     y = np.zeros(3)
     with pytest.raises(ValueError):
@@ -322,6 +327,22 @@ def test_l0_guards():
         l0_brute_force(g, y, -1)
     with pytest.raises(ValueError):
         l0_brute_force(np.eye(2), np.zeros(2), 3)  # d_max above row count
+    # C(264, 3) > L0_TRIPLE_BUDGET: size 3 refuses before its first triple,
+    # while searches that stop at size 1 or 2 run as before
+    gen = np.random.default_rng(3)
+    g = gen.standard_normal((3, 264))
+    y = gen.standard_normal(3)
+    with pytest.raises(ValueError, match="budget"):
+        l0_brute_force(g, y, 3)
+    assert l0_brute_force(g, y, 2) == []
+    assert [s.support for s in l0_brute_force(g, 2.0 * g[:, 5], 3)] == [(5,)]
+    pair = l0_brute_force(g, g[:, 1] - g[:, 7], 3)
+    assert [s.support for s in pair] == [(1, 7)]
+    # the budget is read at call time and compared with C(n, 3)
+    monkeypatch.setattr(rec, "L0_TRIPLE_BUDGET", math.comb(12, 3))
+    assert len(l0_brute_force(g[:, :12], y, 3)) == math.comb(12, 3)
+    with pytest.raises(ValueError, match="budget"):
+        l0_brute_force(g[:, :13], y, 3)
 
 
 # ------------------------------------------------------------------ files
