@@ -35,6 +35,13 @@ def _csv_floats(text: str) -> tuple:
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _checks_arg(text: str) -> frozenset:
     return frozenset(t.strip() for t in text.split(",") if t.strip())
 
@@ -374,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checks", type=_checks_arg,
                     help="comma list from: " + ",".join(sorted(_exp.KNOWN_CHECKS)))
     sp.add_argument("--c4", dest="c_4", type=float, default=2.0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive_int,
+                    default=os.cpu_count() or 1)
     sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=cmd_sweep)
 
@@ -392,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", dest="big_r", type=float)
     sp.add_argument("--c-lo", dest="c_lo", type=float, default=3.0)
     sp.add_argument("--c4", dest="c_4", type=float, default=2.0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive_int,
+                    default=os.cpu_count() or 1)
     sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=cmd_theorem_a)
 

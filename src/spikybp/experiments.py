@@ -9,12 +9,14 @@ aggregate row per cell with trial = -1.
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import certify, recovery, rng
 from .ensemble import (EnsembleSpec, ParameterPlan, ScalarLaw, evaluate_plan,
@@ -182,6 +184,31 @@ def _trial_worker(args) -> TrialRecord:
     return _theorem_a_trial(*args)
 
 
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_",
+                         "openblas_set_num_threads")
+
+
+def _single_blas_thread() -> None:
+    """Pool initializer: run this process's OpenBLAS on one thread.
+
+    A worker's BLAS calls are small (3 x 10^4 matrix-vector products), so
+    with OpenBLAS's default thread count every worker wakes a full set of
+    BLAS threads and the pool oversubscribes the CPUs.  dlsym on numpy's
+    linalg extension also searches the BLAS library it links against.
+    Without OpenBLAS (MKL, Accelerate) this does nothing.
+    """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in _OPENBLAS_SET_THREADS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
+
+
 _INDICATORS = {
     CHECK_FAILURE: lambda r: r.failure_found,
     CHECK_CLEAN: lambda r: r.clean_col1,
@@ -206,14 +233,22 @@ def _aggregate(records: list[TrialRecord], checks) -> dict[str, CheckStats]:
 
 
 def run_cell(config: ExperimentConfig, threads: int = 1) -> TrialStats:
-    """One sweep cell: every requested per-trial check on seeded matrices."""
+    """One sweep cell: every requested per-trial check on seeded matrices.
+
+    threads > 1 runs the trials on min(threads, trials) worker processes,
+    each with single-threaded BLAS; the records do not depend on threads.
+    """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     plan = resolve_plan(config)
     checks = config.checks & _CELL_CHECKS
     args = [(plan, t, rng.mix_seed(config.base_seed, t), checks)
             for t in range(config.trials)]
-    if threads > 1:
-        chunk = max(1, config.trials // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, config.trials)
+    if workers > 1:
+        chunk = max(1, config.trials // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_single_blas_thread) as pool:
             records = list(pool.map(_trial_worker, args, chunksize=chunk))
     else:
         records = [_trial_worker(a) for a in args]

@@ -83,12 +83,19 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """iterations counts the pivots and bound flips of both phases, and
+    phase1_iterations those of phase 1.  degenerate counts the steps no
+    longer than _DEGEN_TOL; bland is True once enough of them switched
+    pricing to Bland's rule."""
     status: str
     x: np.ndarray | None
     objective_value: float | None
     iterations: int
     dual: np.ndarray | None = None
     max_violation: float = 0.0
+    phase1_iterations: int = 0
+    degenerate: int = 0
+    bland: bool = False
 
 
 class _Simplex:
@@ -106,6 +113,7 @@ class _Simplex:
         self.cap = 50 * (m + k) ** 2
         self.bland_after = 3 * (m + k)
         self.iterations = 0
+        self.phase1_iterations = 0
         self.degenerate = 0
         self.bland = False
 
@@ -212,26 +220,33 @@ class _Simplex:
             self.status[q] = _BASIC
             self.basis[row] = q
 
+    def _solution(self, status, x=None, objective_value=None,
+                  **kw) -> LpSolution:
+        return LpSolution(status, x, objective_value, self.iterations,
+                          phase1_iterations=self.phase1_iterations,
+                          degenerate=self.degenerate, bland=self.bland, **kw)
+
     def run(self) -> LpSolution:
         m, k = self.m, self.k
         c1 = np.concatenate([np.zeros(k), np.ones(m)])
         self._phase(c1, phase1=True)
+        self.phase1_iterations = self.iterations
         infeas = float(self.x[k:].sum())
         if infeas > self.feas_tol * (1.0 + np.abs(self.b).max(initial=0.0)):
-            return LpSolution(INFEASIBLE, None, None, self.iterations)
+            return self._solution(INFEASIBLE)
 
         self.upper[k:] = 0.0  # artificials pinned for phase 2
         c2 = np.concatenate([self.c_orig, np.zeros(m)])
         status = self._phase(c2, phase1=False)
         if status == UNBOUNDED:
-            return LpSolution(UNBOUNDED, None, None, self.iterations)
+            return self._solution(UNBOUNDED)
         x = self.x[:k].copy()
         dual = np.linalg.solve(self.a[:, self.basis].T, c2[self.basis])
         resid = float(np.abs(self.a[:, :k] @ x - self.b).max(initial=0.0))
         breach = max(float((self.lower[:k] - x).max(initial=0.0)),
                      float((x - self.upper[:k]).max(initial=0.0)), 0.0)
-        return LpSolution(OPTIMAL, x, float(self.c_orig @ x), self.iterations,
-                          dual=dual, max_violation=max(resid, breach))
+        return self._solution(OPTIMAL, x, float(self.c_orig @ x), dual=dual,
+                              max_violation=max(resid, breach))
 
 
 def solve(lp: LinearProgram, feas_tol: float = 1e-9) -> LpSolution:

@@ -150,6 +150,21 @@ def test_nsp_agrees_with_highs_on_gaussian_baseline_draws(lp_count):
     assert len(lp_count) <= 128
 
 
+def test_nsp_margin_pin_on_gaussian_baseline():
+    # the 100 draws of run_gaussian_baseline(12, 64, 100, seed=2026): the
+    # verdict nearest its threshold is draw 53 (a failure), and it stays
+    # far outside the tolerance band, so no verdict rests on the tolerance
+    verdicts = [ct.er_check_nsp(sample_matrix(EnsembleSpec(
+        ScalarLaw.gaussian(), 12, 64, rng.mix_seed(2026, t))), 1)
+        for t in range(100)]
+    margins = np.array([abs(v.margin) for v in verdicts])
+    t = int(np.argmin(margins))
+    assert t == 53 and not verdicts[t].holds
+    assert margins[t] == pytest.approx(9.899e-4, abs=5e-8)
+    assert margins[t] > 100 * ct.STRICT_MARGIN_TOL
+    assert sum(v.holds for v in verdicts) == 71
+
+
 def _gaussian(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 

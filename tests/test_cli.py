@@ -244,3 +244,20 @@ def test_sweep_infeasible_exit_1(tmp_path, capsys):
                     "--out", str(tmp_path / "s.csv")])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
+     "--seed", "1"],
+    ["theorem-a", "--N", "3", "--n", "5000", "--trials", "1",
+     "--seed", "1"]])
+def test_threads_must_be_positive(tmp_path, capsys, command, threads):
+    argv = command + ["--out", str(tmp_path / "x.csv"), "--threads", threads]
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(argv)
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert cli.run(argv) == 1  # run() folds usage errors into exit 1
+    capsys.readouterr()
+    assert not (tmp_path / "x.csv").exists()

@@ -1,8 +1,11 @@
 import csv
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from spikybp import experiments as ex
 from spikybp import rng
@@ -132,18 +135,98 @@ def test_run_cell_records_and_seeds():
         assert 0.0 <= lo <= st.frequency <= hi <= 1.0
 
 
-def test_run_cell_deterministic_and_parallel_equal():
-    cfg = small_config(trials=4, seed=23)
+def test_run_cell_deterministic_and_parallel_equal(tmp_path):
+    cfg = small_config(trials=4, seed=23, checks=ex._CELL_CHECKS)
     serial = run_cell(cfg, threads=1)
     again = run_cell(cfg, threads=1)
     parallel = run_cell(cfg, threads=2)
+    csv_bytes = []
+    for k, stats in enumerate((serial, again, parallel)):
+        out = tmp_path / f"{k}.csv"
+        ex.write_csv(out, [(cfg, stats)])
+        csv_bytes.append(out.read_bytes())
+    assert csv_bytes[0] == csv_bytes[1] == csv_bytes[2]
+    assert all(r.l0_unique is not None and r.phi2 is not None
+               for r in serial.records)
+    assert any(r.certificate is not None for r in serial.records)
     for a, b in ((serial, again), (serial, parallel)):
         for ra, rb in zip(a.records, b.records):
-            assert ra.seed == rb.seed
-            assert ra.failure_found == rb.failure_found
-            assert ra.witness_j == rb.witness_j
-            assert ra.clean_col1 == rb.clean_col1
-            assert ra.spike_event_all_rows == rb.spike_event_all_rows
+            assert (ra.certificate is None) == (rb.certificate is None)
+            if ra.certificate is not None:
+                assert np.array_equal(ra.certificate.witness,
+                                      rb.certificate.witness)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments and runs
+    the map in this process, so no worker is started."""
+
+    def __init__(self, calls, **kwargs):
+        calls.append(kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def _record_pools(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ex, "ProcessPoolExecutor",
+                        lambda **kw: _RecordingPool(calls, **kw))
+    return calls
+
+
+def test_run_cell_threads_bounds(monkeypatch):
+    cfg = small_config(trials=3, seed=11, checks={"clean_col"})
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            run_cell(cfg, threads=bad)
+    calls = _record_pools(monkeypatch)
+    run_cell(cfg, threads=1)
+    assert calls == []
+    run_cell(cfg, threads=10**6)
+    assert [c["max_workers"] for c in calls] == [3]
+    assert calls[0]["initializer"] is ex._single_blas_thread
+    run_cell(replace(cfg, trials=1), threads=4)  # one trial: no pool
+    assert len(calls) == 1
+
+
+_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads")
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None without OpenBLAS."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in _OPENBLAS_GET_THREADS:
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    cfg = small_config(trials=2, seed=11, checks={"clean_col"})
+    with monkeypatch.context() as m:
+        calls = _record_pools(m)
+        run_cell(cfg, threads=2)
+    kwargs = dict(calls[0], max_workers=1)
+    with ProcessPoolExecutor(**kwargs) as pool:
+        assert pool.submit(_blas_threads).result(timeout=60) == 1
+    run_cell(cfg, threads=2)
+    assert _blas_threads() == before
 
 
 def test_certificate_attached_on_failure():

@@ -17,7 +17,8 @@ def check_solution_invariants(lp, sol, feas_tol=1e-9):
     assert np.all(sol.x <= lp.upper_bounds + 1e-7)
     assert sol.objective_value == pytest.approx(
         float(lp.objective @ sol.x), abs=1e-9 * (1 + abs(sol.objective_value)))
-    assert sol.iterations >= 0
+    assert 0 <= sol.phase1_iterations <= sol.iterations
+    assert 0 <= sol.degenerate <= sol.iterations
 
 
 def random_lp(gen, m=3, k=6, force_feasible=False):
@@ -98,6 +99,17 @@ def test_beale_degenerate_cycle_guard():
     st, val = oracles.lp_scipy(c, a, b, np.zeros(k), np.full(k, np.inf))
     assert st == "optimal"
     assert sol.objective_value == pytest.approx(val, abs=1e-9)
+    check_solution_invariants(lp, sol)
+    # pivot counts, pinned: 3 in phase 1, 2 in phase 2, two of them with
+    # zero step; too few degenerate pivots for Bland's rule
+    assert (sol.iterations, sol.phase1_iterations, sol.degenerate,
+            sol.bland) == (5, 3, 2, False)
+    # with no degenerate pivots allowed, the first one switches to Bland
+    run = simplex._Simplex(lp, 1e-9)
+    run.bland_after = 0
+    bland = run.run()
+    assert bland.bland and bland.degenerate >= 1
+    assert bland.objective_value == pytest.approx(val, abs=1e-9)
 
 
 def test_random_battery_vs_scipy():
