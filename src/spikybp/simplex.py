@@ -3,13 +3,17 @@
     minimize c.x   subject to   A x = b,   l <= x <= u
 
 with infinite bounds allowed.  Aimed at problems with few equality rows and
-possibly many columns, the basis system is re-solved from scratch at every
-pivot: m stays tiny, so the O(m^3) solves are cheap and there is no basis
-factorization drift to manage.
+possibly many columns.  Each pivot factors the m x m basis afresh with one
+LAPACK LU (dgetrf) and reuses it for the three solves the pivot needs: the
+basic values, the duals and the entering column (dgetrs).  m stays tiny, so
+an O(m^3) factorization per pivot is cheap, and there is no update drift to
+manage.  A singular basis raises numpy.linalg.LinAlgError.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +26,32 @@ _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
 _FREE = 3
+# status -> may the variable increase / decrease from where it is
+_CAN_INC = np.array([True, False, False, True])
+_CAN_DEC = np.array([False, True, False, True])
 
 _DUAL_TOL = 1e-9      # reduced-cost threshold for entering candidates
 _PIVOT_TOL = 1e-10    # smallest usable ratio-test denominator
 _DEGEN_TOL = 1e-12    # step below this counts as a degenerate pivot
+
+
+def _lu_routines():
+    """dgetrf and dgetrs from scipy's f2py LAPACK wrappers, the module that
+    scipy.linalg.lapack re-exports.
+
+    Loaded by itself: `import scipy.linalg` runs the package __init__, which
+    costs about 6 MB of resident memory and 50 ms on every start for two
+    functions; the wrapper module alone costs about 1 MB and 3 ms.
+    """
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
+                                                    where)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgetrf, module.dgetrs
+
+
+_getrf, _getrs = _lu_routines()
 
 
 class IterationLimitError(RuntimeError):
@@ -116,10 +142,12 @@ class _Simplex:
         self.phase1_iterations = 0
         self.degenerate = 0
         self.bland = False
+        self.y = None  # duals of the basis last priced by _phase
 
         # park every original variable on a finite bound (or 0 when free)
         x = np.zeros(total)
-        st = np.full(total, _FREE, dtype=np.int8)
+        # intp, so that _CAN_INC[st] indexes without a cast
+        st = np.full(total, _FREE, dtype=np.intp)
         lo_fin = np.isfinite(self.lower[:k])
         up_fin = np.isfinite(self.upper[:k])
         x[:k] = np.where(lo_fin, self.lower[:k],
@@ -136,14 +164,8 @@ class _Simplex:
         self.status = st
         self.basis = np.arange(k, total)
 
-    def _refresh_basic(self):
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        rhs = self.b - self.a @ xn
-        self.x[self.basis] = np.linalg.solve(self.a[:, self.basis], rhs)
-
     def _phase(self, c: np.ndarray, phase1: bool) -> str:
-        m, k = self.m, self.k
+        k = self.k
         movable = self.upper - self.lower > 0.0
         while True:
             if self.iterations >= self.cap:
@@ -151,13 +173,19 @@ class _Simplex:
                     f"simplex iteration cap {self.cap} exceeded",
                     x=self.x[:k].copy(),
                     objective_value=float(self.c_orig @ self.x[:k]))
-            self._refresh_basic()
-            basis_mat = self.a[:, self.basis]
-            y = np.linalg.solve(basis_mat.T, c[self.basis])
-            d = c - self.a.T @ y
+            bi = self.basis
+            lu, piv, info = _getrf(self.a[:, bi])
+            if info > 0:  # dgetrs would divide by the zero pivot silently
+                raise np.linalg.LinAlgError("singular basis matrix")
+            xn = self.x.copy()
+            xn[bi] = 0.0
+            xb = _getrs(lu, piv, self.b - self.a @ xn)[0]
+            self.x[bi] = xb
+            self.y = _getrs(lu, piv, c[bi], trans=1)[0]
+            d = c - self.a.T @ self.y
             st = self.status
-            inc = movable & (d < -_DUAL_TOL) & ((st == _AT_LOWER) | (st == _FREE))
-            dec = movable & (d > _DUAL_TOL) & ((st == _AT_UPPER) | (st == _FREE))
+            inc = movable & (d < -_DUAL_TOL) & _CAN_INC[st]
+            dec = movable & (d > _DUAL_TOL) & _CAN_DEC[st]
             cand = inc | dec
             if not cand.any():
                 return OPTIMAL
@@ -166,20 +194,18 @@ class _Simplex:
             else:
                 q = int(np.argmax(np.where(cand, np.abs(d), -1.0)))
             direction = 1.0 if inc[q] else -1.0
-            w = np.linalg.solve(basis_mat, self.a[:, q])
-            delta = direction * w  # basic values move by -delta * step
+            # basic values move by -delta * step
+            delta = direction * _getrs(lu, piv, self.a[:, q])[0]
 
-            bi = self.basis
-            xb, lb, ub = self.x[bi], self.lower[bi], self.upper[bi]
-            ratio = np.full(m, np.inf)
+            lb, ub = self.lower[bi], self.upper[bi]
+            ratio = np.full(self.m, np.inf)
             pos = delta > _PIVOT_TOL
             neg = delta < -_PIVOT_TOL
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio[pos] = (xb[pos] - lb[pos]) / delta[pos]
-                ratio[neg] = (ub[neg] - xb[neg]) / (-delta[neg])
-            ratio = np.maximum(ratio, 0.0)
+            np.divide(xb - lb, delta, out=ratio, where=pos)
+            np.divide(xb - ub, delta, out=ratio, where=neg)
+            np.maximum(ratio, 0.0, out=ratio)
             span = self.upper[q] - self.lower[q]  # own-bound flip distance
-            r_min = float(ratio.min()) if m else np.inf
+            r_min = float(ratio.min())
             step = min(span, r_min)
             if not np.isfinite(step):
                 if phase1:
@@ -241,11 +267,10 @@ class _Simplex:
         if status == UNBOUNDED:
             return self._solution(UNBOUNDED)
         x = self.x[:k].copy()
-        dual = np.linalg.solve(self.a[:, self.basis].T, c2[self.basis])
         resid = float(np.abs(self.a[:, :k] @ x - self.b).max(initial=0.0))
         breach = max(float((self.lower[:k] - x).max(initial=0.0)),
                      float((x - self.upper[:k]).max(initial=0.0)), 0.0)
-        return self._solution(OPTIMAL, x, float(self.c_orig @ x), dual=dual,
+        return self._solution(OPTIMAL, x, float(self.c_orig @ x), dual=self.y,
                               max_violation=max(resid, breach))
 
 

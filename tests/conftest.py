@@ -11,13 +11,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def lp_count(monkeypatch):
-    """Counts LPs solved through the simplex.solve module attribute."""
+    """Records the LpSolution of each LP solved through the simplex.solve
+    module attribute, in call order."""
     calls = []
     solve = simplex.solve
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+        sol = solve(*args, **kwargs)
+        calls.append(sol)
+        return sol
 
     monkeypatch.setattr(simplex, "solve", counted)
     return calls

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikybp import simplex
+from spikybp import recovery, simplex
 from spikybp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              feasible_point, solve)
 
@@ -145,6 +145,86 @@ def test_random_battery_vs_vertex_enumeration():
             assert sol.objective_value == pytest.approx(val, abs=1e-9)
         else:
             assert sol.status == INFEASIBLE
+
+
+def degenerate_lp(gen, kind):
+    """A 3x8 LP with finite boxes and full row rank whose columns repeat:
+    a duplicate, a negated and a scaled copy of a base column.  kind 0
+    zeroes the right-hand side except a budget row of ones, as in the
+    strict-dual LP; kind 1 puts b at a box vertex, so the optimum can sit
+    on a degenerate basis; kind 2 draws b at random."""
+    base = gen.standard_normal((3, 4))
+    a = np.column_stack([base, base[:, 0], -base[:, 1], 2.0 * base[:, 2],
+                         -base[:, 3]])
+    lo = gen.choice([-1.0, 0.0], 8)
+    hi = lo + gen.choice([0.5, 1.0, 2.0], 8)
+    if kind == 0:
+        a[2] = 1.0
+        b = np.array([0.0, 0.0, 1.0])
+    elif kind == 1:
+        b = a @ np.where(gen.random(8) < 0.5, lo, hi)
+    else:
+        b = gen.standard_normal(3)
+    # each copy costs what its base column costs, scaled alike, so optima tie
+    c = gen.choice([-1.0, 0.0, 1.0], 8)
+    c[4:] = c[[0, 1, 2, 3]] * np.array([1.0, -1.0, 2.0, -1.0])
+    assert np.linalg.matrix_rank(a) == 3
+    return LinearProgram(c, a, b, lo, hi)
+
+
+def test_degenerate_battery_vs_vertex_enumeration():
+    gen = np.random.default_rng(909)
+    seen = {"optimal": 0, "infeasible": 0}
+    degenerate = 0
+    for i in range(60):
+        lp = degenerate_lp(gen, i % 3)
+        sol = solve(lp)
+        st, val = oracles.lp_vertex_oracle(lp.objective, lp.eq_matrix,
+                                           lp.eq_rhs, lp.lower_bounds,
+                                           lp.upper_bounds)
+        assert sol.status == st, f"case {i}"
+        if st == "optimal":
+            assert sol.objective_value == pytest.approx(val, abs=1e-9), \
+                f"case {i}"
+            check_solution_invariants(lp, sol)
+        seen[st] += 1
+        degenerate += sol.degenerate
+    # the battery must reach both verdicts and zero-length steps
+    assert seen["optimal"] >= 20 and seen["infeasible"] >= 5
+    assert degenerate >= 20
+
+
+def test_singular_basis_raises():
+    # two basis slots holding one column: dgetrf reports the zero pivot,
+    # where a bare dgetrs would hand back an inf or NaN step
+    lp = LinearProgram(np.ones(3), [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]],
+                       [1.0, 1.0], upper_bounds=np.full(3, 2.0))
+    run = simplex._Simplex(lp, 1e-9)
+    run.basis[:] = 1
+    x = run.x.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        run._phase(np.concatenate([np.zeros(run.k), np.ones(run.m)]),
+                   phase1=True)
+    assert np.array_equal(run.x, x) and run.iterations == 0
+
+
+def test_pivot_path_pins(lp_count):
+    # (iterations, phase1_iterations, degenerate, bland) of three fixed
+    # LPs at the benchmark's shapes; a kernel change that moves the pivot
+    # path moves these
+    g = np.random.default_rng(2026).standard_normal((10, 20))
+    bp = recovery.basis_pursuit(g, g[:, 0])
+    recovery.certify_uniqueness(g, g[:, 0], bp)
+    h = np.random.default_rng(2026).standard_normal((12, 64))
+    recovery.basis_pursuit(h[:, 1:], h[:, 0])
+    assert [(s.status, s.iterations, s.phase1_iterations, s.degenerate,
+             s.bland) for s in lp_count] == [
+        (OPTIMAL, 24, 15, 23, False),   # basis pursuit, 10x40
+        (OPTIMAL, 26, 16, 15, False),   # strict-dual uniqueness LP, 11x40
+        (OPTIMAL, 31, 15, 0, False),    # least-l1 representation, 12x126
+    ]
+    assert [s.objective_value for s in lp_count] == pytest.approx(
+        [1.0, -0.21368640946062925, 1.0716607771960946], abs=1e-12)
 
 
 def test_dual_certificate_on_optimal():
