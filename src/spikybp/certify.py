@@ -1,8 +1,10 @@
 """ER(d) verdicts, failure certificates, and the quantitative side checks.
 
-A failure certificate at a unit-l1 target v is a vector w supported off
-supp(v) with ||w||_1 <= 1 and Gamma w = Gamma v: it makes v and a distinct
-point share measurements and l1 budget, so basis pursuit cannot isolate v.
+A failure certificate at a unit-l1 target v is the vector w supported off
+supp(v) with Gamma w = Gamma v and the least l1 norm r = l1_witness, found
+by basis pursuit on the columns off supp(v), when r <= 1: it makes v and a
+distinct point share measurements and l1 budget, so basis pursuit cannot
+isolate v (r < 1 is a strict failure, r = 1 a tie).
 The exact ER(d) verdict goes through the null space property: ER(d) holds
 iff for every kernel vector h and every |S| = d, ||h_S||_1 < ||h_{S^c}||_1,
 i.e. iff max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} < 1/2.  For d = 1
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import rng, simplex
-from .recovery import NoSolutionError, SparseVector, _entries, basis_pursuit
+from . import rng
+from .recovery import (NoSolutionError, SparseVector, _entries, _kernel_lp,
+                       basis_pursuit)
 
 STRICT_MARGIN_TOL = 1e-7
 
@@ -67,40 +70,33 @@ class CompatibilityError(RuntimeError):
 
 def er_failure_certificate(gamma, v: SparseVector,
                            feas_tol: float = 1e-9) -> FailureCertificate | None:
-    """Search for w on supp(v)^c with ||w||_1 <= 1 and Gamma w = Gamma v.
+    """The least-l1 w on supp(v)^c with Gamma w = Gamma v, if ||w||_1 <= 1.
 
-    Returns None when the LP is infeasible, which is NOT a proof that exact
+    This is basis pursuit on the columns off supp(v), so l1_witness is the
+    least l1 norm r of such a representation.  Returns None when
+    r > 1 + feas_tol or no such w exists, which is NOT a proof that exact
     reconstruction holds at v; only er_check_nsp decides positively.
     """
     g = _entries(gamma)
-    n_rows, n_cols = g.shape
+    n_cols = g.shape[1]
     if v.dim != n_cols:
         raise ValueError("target dimension must match the matrix columns")
     if abs(v.l1() - 1.0) > 1e-9:
         raise ValueError("target must satisfy ||v||_1 = 1")
-    in_j = np.zeros(n_cols, dtype=bool)
-    in_j[list(v.support)] = True
-    comp = np.nonzero(~in_j)[0]
+    comp = np.delete(np.arange(n_cols), v.support)
     if comp.size == 0:
         return None
     y = g[:, list(v.support)] @ np.array(v.values)
-    sub = g[:, comp]
-    nc = comp.size
-    # [sub, -sub | 0] w = y  and  sum(w+ + w-) + slack = 1
-    a = np.zeros((n_rows + 1, 2 * nc + 1))
-    a[:n_rows, :nc] = sub
-    a[:n_rows, nc:2 * nc] = -sub
-    a[n_rows, :] = 1.0
-    b = np.concatenate([y, [1.0]])
-    x = simplex.feasible_point(a, b, np.zeros(2 * nc + 1),
-                               np.full(2 * nc + 1, np.inf), feas_tol)
-    if x is None:
+    try:
+        result = basis_pursuit(g[:, comp], y, feas_tol)
+    except NoSolutionError:
+        return None
+    if result.l1_value > 1.0 + feas_tol:
         return None
     w = np.zeros(n_cols)
-    w[comp] = x[:nc] - x[nc:2 * nc]
+    w[comp] = result.minimizer
     residual = float(np.abs(g @ w - y).max())
-    return FailureCertificate(v.support, v, w, residual,
-                              float(np.abs(w).sum()))
+    return FailureCertificate(v.support, v, w, residual, result.l1_value)
 
 
 def er_check_nsp(gamma, d: int,
@@ -174,25 +170,16 @@ def _er1_worst(g: np.ndarray):
 def _er2_worst(g: np.ndarray):
     """Max kernel LP value over pairs S and signs with s_1 = +1; the value
     of (S, -s) equals that of (S, s) under h -> -h."""
-    n_rows, n_cols = g.shape
-    a = np.zeros((n_rows + 1, 2 * n_cols + 1))
-    a[:n_rows, :n_cols] = g
-    a[:n_rows, n_cols:2 * n_cols] = -g
-    a[n_rows, :] = 1.0
-    b = np.zeros(n_rows + 1)
-    b[n_rows] = 1.0
+    n_cols = g.shape[1]
+    no_free = np.zeros(0, dtype=np.intp)
     worst = (-math.inf, (), ())
     for support in itertools.combinations(range(n_cols), 2):
         for signs in ((1, 1), (1, -1)):
-            c = np.zeros(2 * n_cols + 1)
-            for idx, s in zip(support, signs):
-                c[idx] = -float(s)
-                c[n_cols + idx] = float(s)
-            sol = simplex.solve(simplex.LinearProgram(c, a, b))
-            if sol.status != simplex.OPTIMAL:
-                raise RuntimeError(f"kernel LP returned {sol.status}")
-            if -sol.objective_value > worst[0]:
-                worst = (-sol.objective_value, support, signs)
+            c = np.zeros(n_cols)
+            c[list(support)] = signs
+            value, _ = _kernel_lp(g, c, no_free)
+            if value > worst[0]:
+                worst = (value, support, signs)
     return worst
 
 

@@ -28,11 +28,10 @@ CHECK_SPIKE = "spike_event"
 CHECK_L0 = "l0_unique"
 CHECK_NSP = "nsp_gaussian_baseline"
 CHECK_PHI2 = "phi2"
+# the per-trial checks of a cell; CHECK_NSP belongs to run_gaussian_baseline
 KNOWN_CHECKS = frozenset({CHECK_FAILURE, CHECK_CLEAN, CHECK_SPIKE,
-                          CHECK_L0, CHECK_NSP, CHECK_PHI2})
-DEFAULT_CHECKS = frozenset({CHECK_FAILURE, CHECK_CLEAN, CHECK_SPIKE})
-_CELL_CHECKS = frozenset({CHECK_FAILURE, CHECK_CLEAN, CHECK_SPIKE,
                           CHECK_L0, CHECK_PHI2})
+DEFAULT_CHECKS = frozenset({CHECK_FAILURE, CHECK_CLEAN, CHECK_SPIKE})
 
 # phi2 at or below this counts as the "compatibility collapsed" event
 PHI2_ZERO_TOL = 1e-6
@@ -64,7 +63,10 @@ class ExperimentConfig:
         object.__setattr__(self, "checks", frozenset(self.checks))
         unknown = self.checks - KNOWN_CHECKS
         if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown checks: {sorted(unknown)}; a cell runs "
+                f"{sorted(KNOWN_CHECKS)}, and the Gaussian baseline "
+                f"({CHECK_NSP}) runs through run_gaussian_baseline")
         if self.planner_overrides is not None:
             d, p, r = self.planner_overrides
             object.__setattr__(self, "planner_overrides",
@@ -136,19 +138,6 @@ def _spike_event_all_rows(mask: np.ndarray) -> bool:
     return bool(np.all((rest & single[None, :]).any(axis=1)))
 
 
-def _any_parallel_to_first(g: np.ndarray, rel_tol: float = 1e-9) -> bool:
-    col0 = g[:, 0]
-    norm0 = np.linalg.norm(col0)
-    if norm0 == 0.0:
-        return False
-    u = col0 / norm0
-    proj = u @ g
-    res = np.linalg.norm(g - np.outer(u, proj), axis=0)
-    norms = np.linalg.norm(g, axis=0)
-    parallel = (res <= rel_tol * norms) & (norms > 0.0)
-    return bool(parallel[1:].any())
-
-
 def _theorem_a_trial(plan: ParameterPlan, trial: int, seed: int,
                      checks: frozenset) -> TrialRecord:
     spec = EnsembleSpec(plan.law(), plan.n_rows, plan.n_cols, seed)
@@ -172,9 +161,9 @@ def _theorem_a_trial(plan: ParameterPlan, trial: int, seed: int,
                 break
     if CHECK_L0 in checks:
         y = mat.entries[:, 0].copy()
+        # every column parallel to column 1 is a size-1 solution too
         sols = recovery.l0_brute_force(mat, y, 1)
-        exact = len(sols) == 1 and sols[0].support == (0,)
-        record.l0_unique = exact and not _any_parallel_to_first(mat.entries)
+        record.l0_unique = len(sols) == 1 and sols[0].support == (0,)
     if CHECK_PHI2 in checks:
         record.phi2 = certify.compatibility_constant(mat, (0,), 1.0).phi2
     return record
@@ -241,8 +230,7 @@ def run_cell(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     if threads < 1:
         raise ValueError("threads must be at least 1")
     plan = resolve_plan(config)
-    checks = config.checks & _CELL_CHECKS
-    args = [(plan, t, rng.mix_seed(config.base_seed, t), checks)
+    args = [(plan, t, rng.mix_seed(config.base_seed, t), config.checks)
             for t in range(config.trials)]
     workers = min(threads, config.trials)
     if workers > 1:
@@ -252,7 +240,7 @@ def run_cell(config: ExperimentConfig, threads: int = 1) -> TrialStats:
             records = list(pool.map(_trial_worker, args, chunksize=chunk))
     else:
         records = [_trial_worker(a) for a in args]
-    return TrialStats(_aggregate(records, checks), records, plan)
+    return TrialStats(_aggregate(records, config.checks), records, plan)
 
 
 def run_gaussian_baseline(n_rows: int, n_cols: int, trials: int,
@@ -337,13 +325,12 @@ def write_csv(out_path, cells) -> None:
 def sweep(grid: SweepGrid, out_path, threads: int = 1):
     """Cartesian sweep over (N, n, c_lo, trials); returns the per-cell stats
     and writes the CSV (schema CSV_HEADER) to out_path."""
-    results = []
-    cells = itertools.product(grid.n_rows_list, grid.n_cols_list,
-                              grid.c_lo_list, grid.trials_list)
-    for n_rows, n_cols, c_lo, trials in cells:
-        config = ExperimentConfig(n_rows, n_cols, trials, grid.base_seed,
-                                  grid.checks & _CELL_CHECKS or DEFAULT_CHECKS,
-                                  c_lo=c_lo, c_4=grid.c_4, force=grid.force)
-        results.append((config, run_cell(config, threads)))
+    configs = [ExperimentConfig(n_rows, n_cols, trials, grid.base_seed,
+                                grid.checks, c_lo=c_lo, c_4=grid.c_4,
+                                force=grid.force)
+               for n_rows, n_cols, c_lo, trials in itertools.product(
+                   grid.n_rows_list, grid.n_cols_list, grid.c_lo_list,
+                   grid.trials_list)]
+    results = [(config, run_cell(config, threads)) for config in configs]
     write_csv(out_path, results)
     return results

@@ -2,7 +2,9 @@
 
 Basis pursuit solves min ||t||_1 subject to Gamma t = y as an LP over the
 split t = t+ - t-.  Uniqueness of its minimizer is decided exactly by one
-strict-dual LP on the minimizer's support and signs; l0 recovery enumerates
+strict-dual LP on the minimizer's support and signs, an instance of the
+kernel LP max {c'z : Gamma z = 0, ||z_C||_1 <= 1} (_kernel_lp) that the
+ER(2) verdict in certify also solves; l0 recovery enumerates
 supports of growing size, all columns at once for size 1, one numpy block
 of closed-form 2x2 solves per column for size 2, and one solve per triple
 for size 3, within a budget of L0_TRIPLE_BUDGET triples.
@@ -132,6 +134,32 @@ def basis_pursuit(gamma, y, feas_tol: float = 1e-9) -> RecoveryResult:
     return RecoveryResult(t, sol.objective_value, UNKNOWN)
 
 
+def _kernel_lp(g: np.ndarray, c: np.ndarray, free: np.ndarray,
+               feas_tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """(max c'z, z) over Gamma z = 0, ||z_C||_1 <= 1, with z_free free and C
+    the other columns; the LP variables are (z_free, z_C+, z_C-, slack)."""
+    n_rows, n_cols = g.shape
+    comp = np.delete(np.arange(n_cols), free)
+    k, m = free.size, comp.size
+    a = np.zeros((n_rows + 1, k + 2 * m + 1))
+    a[:n_rows, :k] = g[:, free]
+    a[:n_rows, k:k + m] = g[:, comp]
+    a[:n_rows, k + m:k + 2 * m] = -g[:, comp]
+    a[n_rows, k:] = 1.0
+    b = np.zeros(n_rows + 1)
+    b[n_rows] = 1.0
+    lower = np.zeros(k + 2 * m + 1)
+    lower[:k] = -np.inf
+    obj = np.concatenate([-c[free], -c[comp], c[comp], [0.0]])
+    sol = simplex.solve(simplex.LinearProgram(obj, a, b, lower), feas_tol)
+    if sol.status != simplex.OPTIMAL:
+        raise RuntimeError(f"kernel LP returned {sol.status}")
+    z = np.zeros(n_cols)
+    z[free] = sol.x[:k]
+    z[comp] = sol.x[k:k + m] - sol.x[k + m:k + 2 * m]
+    return -sol.objective_value, z
+
+
 def certify_uniqueness(gamma, y, result: RecoveryResult,
                        uniqueness_tol: float = UNIQUENESS_TOL,
                        feas_tol: float = 1e-9) -> RecoveryResult:
@@ -160,35 +188,21 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
         raise ValueError("y length must match the number of matrix rows")
     x = result.minimizer
     on_s = np.abs(x) > feas_tol * float(np.abs(x).max(initial=0.0))
-    s_idx, c_idx = np.nonzero(on_s)[0], np.nonzero(~on_s)[0]
+    s_idx = np.nonzero(on_s)[0]
     sigma = np.sign(x[s_idx])
-    k, m = s_idx.size, c_idx.size
+    k = s_idx.size
 
-    z = np.zeros(n_cols)
     g_s = g[:, s_idx]
     if np.linalg.matrix_rank(g_s) < k:
         null = np.linalg.svd(g_s)[2][-1]
+        z = np.zeros(n_cols)
         z[s_idx] = -null if sigma @ null > 0.0 else null
     else:
-        # variables (z_S free, z_C+ >= 0, z_C- >= 0, budget slack >= 0)
-        a = np.zeros((n_rows + 1, k + 2 * m + 1))
-        a[:n_rows, :k] = g_s
-        a[:n_rows, k:k + m] = g[:, c_idx]
-        a[:n_rows, k + m:k + 2 * m] = -g[:, c_idx]
-        a[n_rows, k:] = 1.0
-        b = np.zeros(n_rows + 1)
-        b[n_rows] = 1.0
-        lower = np.zeros(k + 2 * m + 1)
-        lower[:k] = -np.inf
-        c = np.zeros(k + 2 * m + 1)
-        c[:k] = sigma
-        sol = simplex.solve(simplex.LinearProgram(c, a, b, lower), feas_tol)
-        if sol.status != simplex.OPTIMAL:
-            raise RuntimeError(f"strict-dual LP returned {sol.status}")
-        if -sol.objective_value < 1.0 - uniqueness_tol:
+        c = np.zeros(n_cols)
+        c[s_idx] = -sigma
+        value, z = _kernel_lp(g, c, s_idx, feas_tol)
+        if value < 1.0 - uniqueness_tol:
             return replace(result, unique=UNIQUE, witness_alt=None)
-        z[s_idx] = sol.x[:k]
-        z[c_idx] = sol.x[k:k + m] - sol.x[k + m:k + 2 * m]
     shrink = s_idx[sigma * z[s_idx] < 0.0]
     eps = float(np.min(np.abs(x[shrink] / z[shrink]), initial=1.0))
     return replace(result, unique=NOT_UNIQUE, witness_alt=x + eps * z)

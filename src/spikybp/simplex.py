@@ -279,13 +279,3 @@ def solve(lp: LinearProgram, feas_tol: float = 1e-9) -> LpSolution:
     if lp.n_rows < 1:
         raise ValueError("need at least one equality row")
     return _Simplex(lp, feas_tol).run()
-
-
-def feasible_point(eq_matrix, eq_rhs, lower, upper,
-                   feas_tol: float = 1e-9) -> np.ndarray | None:
-    """A point satisfying A x = b, l <= x <= u within feas_tol, else None."""
-    eq_matrix = np.atleast_2d(np.asarray(eq_matrix, dtype=np.float64))
-    lp = LinearProgram(np.zeros(eq_matrix.shape[1]), eq_matrix, eq_rhs,
-                       lower, upper)
-    sol = solve(lp, feas_tol)
-    return sol.x if sol.status == OPTIMAL else None

@@ -33,6 +33,7 @@ def test_duplicate_column_certificate():
     y = DUP @ target(3, 0).to_dense()
     assert np.max(np.abs(DUP @ w - y)) <= 1e-8 * (1.0 + np.max(np.abs(y)))
     assert cert.l1_witness == pytest.approx(np.sum(np.abs(w)))
+    assert cert.l1_witness == pytest.approx(1.0, abs=1e-12)  # a tie, r = 1
     assert cert.residual <= 1e-8
 
 
@@ -41,6 +42,31 @@ def test_certificate_respects_sign_and_scale_of_target():
     assert cert is not None
     assert abs(cert.witness[1]) <= 1e-12
     assert cert.witness[0] == pytest.approx(-1.0, abs=1e-8)
+
+
+def test_certificate_is_the_least_l1_representation():
+    # a certificate exists at e_j iff r_j <= 1, and l1_witness is r_j; the
+    # draws have ties (r_j = 1, from +-equal columns), strict failures and
+    # successes, with every other r_j at least 0.009 away from 1
+    draws = [DUP]
+    for law in (ScalarLaw.gaussian(), ScalarLaw.rademacher(),
+                ScalarLaw.spiky(0.2, 3.0)):
+        for n_rows, n_cols in ((3, 8), (4, 10), (5, 12)):
+            for seed in range(2):
+                draws.append(sample_matrix(
+                    EnsembleSpec(law, n_rows, n_cols, seed)).entries)
+    found = 0
+    for g in draws:
+        r = oracles.er1_representation_norms(g)
+        for j in range(g.shape[1]):
+            cert = ct.er_failure_certificate(g, target(g.shape[1], j))
+            assert (cert is not None) == (r[j] <= 1.0 + 1e-9)
+            if cert is not None:
+                found += 1
+                assert cert.l1_witness == pytest.approx(r[j], abs=1e-9)
+                assert cert.l1_witness == pytest.approx(
+                    np.abs(cert.witness).sum(), abs=1e-12)
+    assert found == 71  # of 183 targets
 
 
 def test_certificate_validation():

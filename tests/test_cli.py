@@ -261,3 +261,16 @@ def test_threads_must_be_positive(tmp_path, capsys, command, threads):
     assert cli.run(argv) == 1  # run() folds usage errors into exit 1
     capsys.readouterr()
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
+     "--seed", "1"],
+    ["theorem-a", "--N", "3", "--n", "5000", "--trials", "1",
+     "--seed", "1"]])
+def test_gaussian_baseline_is_not_a_cell_check(tmp_path, capsys, command):
+    argv = command + ["--out", str(tmp_path / "x.csv"), "--threads", "1",
+                      "--checks", "nsp_gaussian_baseline"]
+    assert cli.run(argv) == 1
+    assert "run_gaussian_baseline" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

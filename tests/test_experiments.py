@@ -31,6 +31,9 @@ def small_config(trials=3, seed=11, checks=DEFAULT_CHECKS, **kw):
 def test_config_rejects_unknown_check():
     with pytest.raises(ValueError):
         small_config(checks={"failure_cert", "nope"})
+    # the baseline has its own runner; a cell would leave its field blank
+    with pytest.raises(ValueError, match="run_gaussian_baseline"):
+        small_config(checks={"failure_cert", "nsp_gaussian_baseline"})
 
 
 def test_config_rejects_bad_trials():
@@ -101,17 +104,6 @@ def test_spike_event_all_rows_cases():
     assert not ex._spike_event_all_rows(mask)
 
 
-def test_any_parallel_to_first():
-    g = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]])
-    assert ex._any_parallel_to_first(g)  # scaled copy
-    g = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 1.0]])
-    assert ex._any_parallel_to_first(g)  # sign flip
-    g = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert not ex._any_parallel_to_first(g)
-    g = np.array([[0.0, 1.0], [0.0, 1.0]])
-    assert not ex._any_parallel_to_first(g)  # zero first column
-
-
 # -------------------------------------------------------------- run_cell
 
 def test_run_cell_records_and_seeds():
@@ -136,7 +128,7 @@ def test_run_cell_records_and_seeds():
 
 
 def test_run_cell_deterministic_and_parallel_equal(tmp_path):
-    cfg = small_config(trials=4, seed=23, checks=ex._CELL_CHECKS)
+    cfg = small_config(trials=4, seed=23, checks=ex.KNOWN_CHECKS)
     serial = run_cell(cfg, threads=1)
     again = run_cell(cfg, threads=1)
     parallel = run_cell(cfg, threads=2)
@@ -314,6 +306,19 @@ def test_sweep_infeasible_cell_raises(tmp_path):
     grid = SweepGrid((3,), (400,), (3.0,), (1,), base_seed=1)
     with pytest.raises(PlanInfeasibleError):
         sweep(grid, tmp_path / "x.csv")
+
+
+def test_sweep_builds_every_config_before_the_first_cell(tmp_path,
+                                                         monkeypatch):
+    ran = []
+    monkeypatch.setattr(ex, "run_cell", lambda cfg, threads: ran.append(cfg))
+    for grid in (SweepGrid((3,), (5000,), (3.0,), (2, 0), base_seed=1),
+                 SweepGrid((3,), (5000,), (3.0,), (2,), base_seed=1,
+                           checks={"nsp_gaussian_baseline"})):
+        with pytest.raises(ValueError):
+            sweep(grid, tmp_path / "x.csv")
+    assert ran == []
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_grid_validation():

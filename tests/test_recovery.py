@@ -231,6 +231,20 @@ def test_l0_duplicate_columns_two_solutions():
         assert np.allclose(g @ s.to_dense(), g[:, 0], atol=1e-8)
 
 
+def test_l0_size_one_returns_columns_parallel_to_the_target():
+    # the theorem-a l0_unique check is exactly {e1} at size 1: a column
+    # parallel to column 1 is a second size-1 solution of y = column 1
+    def supports(g):
+        return [s.support for s in l0_brute_force(g, g[:, 0], 1)]
+
+    assert supports(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]])) == [
+        (0,), (1,)]  # scaled copy
+    assert supports(np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 1.0]])) == [
+        (0,), (1,)]  # sign flip
+    assert supports(np.eye(2)) == [(0,)]  # orthonormal columns
+    assert supports(np.array([[0.0, 1.0], [0.0, 1.0]])) == [()]  # zero column
+
+
 def test_l0_prefers_smaller_support():
     # y equals a single column but also a combination of two others;
     # the 1-sparse answer must win

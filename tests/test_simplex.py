@@ -3,7 +3,7 @@ import pytest
 
 from spikybp import recovery, simplex
 from spikybp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                             feasible_point, solve)
+                             solve)
 
 import oracles
 
@@ -242,17 +242,6 @@ def test_dual_certificate_on_optimal():
         assert np.all(np.abs(d[interior]) <= 1e-6)
         assert np.all(d[at_lower & ~at_upper] >= -1e-6)
         assert np.all(d[at_upper & ~at_lower] <= 1e-6)
-
-
-def test_feasible_point():
-    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-    b = np.array([1.0, 1.0])
-    x = feasible_point(a, b, np.zeros(3), np.ones(3))
-    assert x is not None
-    assert np.allclose(a @ x, b, atol=1e-9)
-    assert np.all(x >= -1e-9) and np.all(x <= 1.0 + 1e-9)
-    # shrink the box until the system cannot be met
-    assert feasible_point(a, b, np.zeros(3), np.full(3, 0.4)) is None
 
 
 def test_empty_constraint_guard():
