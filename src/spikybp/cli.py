@@ -11,6 +11,7 @@ failure certificate (lets shell pipelines branch on the verdict).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -72,6 +73,12 @@ def _target_or_y(args, mat) -> np.ndarray:
     return y
 
 
+def _warn_infeasible(plan) -> None:
+    bad = plan.first_violated
+    print(f"warning: plan infeasible, {bad.name} violated, {bad.detail}",
+          file=sys.stderr)
+
+
 def _law_from_args(args, shape: tuple[int, int] | None = None):
     """--law, with a spiky law from --delta and --R given together.
 
@@ -90,11 +97,11 @@ def _law_from_args(args, shape: tuple[int, int] | None = None):
         raise ValueError("spiky law needs --delta and --R")
     plan = plan_parameters(*shape, args.c_lo, args.c_4)
     if not plan.feasible:
-        bad = plan.first_violated
-        msg = f"plan infeasible: {bad.name} violated, {bad.detail}"
         if not args.force:
-            raise ValueError(msg + " (pass --force to sample anyway)")
-        print("warning: " + msg, file=sys.stderr)
+            bad = plan.first_violated
+            raise ValueError(f"plan infeasible: {bad.name} violated, "
+                             f"{bad.detail} (pass --force to sample anyway)")
+        _warn_infeasible(plan)
     return plan.law()
 
 
@@ -233,16 +240,32 @@ def cmd_compat(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    grid = _exp.SweepGrid(args.n_rows_list, args.n_cols_list, args.c_lo_list,
-                          args.trials_list, args.seed,
-                          checks=args.checks or _exp.DEFAULT_CHECKS,
-                          c_4=args.c_4, force=args.force)
-    results = _exp.sweep(grid, args.out, threads=args.threads)
-    for cell_id, (config, stats) in enumerate(results):
+def _run_cells(configs, args) -> int:
+    """Check every cell's plan, then run the cells, write one CSV, print."""
+    for config in configs:
+        plan = _exp.resolve_plan(config)
+        if not plan.feasible:
+            _warn_infeasible(plan)
+    cells = [(config, _exp.run_cell(config, threads=args.threads))
+             for config in configs]
+    _exp.write_csv(args.out, cells)
+    for cell_id, (config, stats) in enumerate(cells):
         _print_cell(cell_id, config, stats)
     print(f"wrote {args.out}")
     return 0
+
+
+def cmd_sweep(args) -> int:
+    lists = (args.n_rows_list, args.n_cols_list, args.c_lo_list,
+             args.trials_list)
+    if not all(lists):
+        raise ValueError("every sweep list must be nonempty")
+    checks = args.checks or _exp.DEFAULT_CHECKS
+    configs = [_exp.ExperimentConfig(n_rows, n_cols, trials, args.seed,
+                                     checks=checks, c_lo=c_lo, c_4=args.c_4,
+                                     force=args.force)
+               for n_rows, n_cols, c_lo, trials in itertools.product(*lists)]
+    return _run_cells(configs, args)
 
 
 def cmd_theorem_a(args) -> int:
@@ -255,17 +278,7 @@ def cmd_theorem_a(args) -> int:
         checks=args.checks or _exp.DEFAULT_CHECKS,
         planner_overrides=overrides if given else None,
         c_lo=args.c_lo, c_4=args.c_4, force=args.force)
-    if args.force:
-        plan = _exp.resolve_plan(config)
-        if not plan.feasible:
-            bad = plan.first_violated
-            print(f"warning: plan infeasible, {bad.name} violated, "
-                  f"{bad.detail}", file=sys.stderr)
-    stats = _exp.run_cell(config, threads=args.threads)
-    _exp.write_csv(args.out, [(config, stats)])
-    _print_cell(0, config, stats)
-    print(f"wrote {args.out}")
-    return 0
+    return _run_cells([config], args)
 
 
 def _add_matrix(sp) -> None:
@@ -420,8 +433,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, _rec.NoSolutionError,
-            _certify.CompatibilityError, IterationLimitError,
-            _exp.PlanInfeasibleError) as exc:
+            _certify.CompatibilityError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -258,28 +257,6 @@ def run_gaussian_baseline(n_rows: int, n_cols: int, trials: int,
     return TrialStats(_aggregate(records, {CHECK_NSP}), records, None)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    n_rows_list: tuple[int, ...]
-    n_cols_list: tuple[int, ...]
-    c_lo_list: tuple[float, ...]
-    trials_list: tuple[int, ...]
-    base_seed: int
-    checks: frozenset = DEFAULT_CHECKS
-    c_4: float = 2.0
-    force: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_rows_list", tuple(self.n_rows_list))
-        object.__setattr__(self, "n_cols_list", tuple(self.n_cols_list))
-        object.__setattr__(self, "c_lo_list", tuple(self.c_lo_list))
-        object.__setattr__(self, "trials_list", tuple(self.trials_list))
-        object.__setattr__(self, "checks", frozenset(self.checks))
-        if not (self.n_rows_list and self.n_cols_list and self.c_lo_list
-                and self.trials_list):
-            raise ValueError("every sweep list must be nonempty")
-
-
 def _fmt_field(x) -> str:
     if x is None:
         return ""
@@ -320,17 +297,3 @@ def write_csv(out_path, cells) -> None:
         rows.extend(_cell_rows(cell_id, config, stats))
     with open(out_path, "w", newline="") as f:
         csv.writer(f).writerows(rows)
-
-
-def sweep(grid: SweepGrid, out_path, threads: int = 1):
-    """Cartesian sweep over (N, n, c_lo, trials); returns the per-cell stats
-    and writes the CSV (schema CSV_HEADER) to out_path."""
-    configs = [ExperimentConfig(n_rows, n_cols, trials, grid.base_seed,
-                                grid.checks, c_lo=c_lo, c_4=grid.c_4,
-                                force=grid.force)
-               for n_rows, n_cols, c_lo, trials in itertools.product(
-                   grid.n_rows_list, grid.n_cols_list, grid.c_lo_list,
-                   grid.trials_list)]
-    results = [(config, run_cell(config, threads)) for config in configs]
-    write_csv(out_path, results)
-    return results

@@ -137,7 +137,7 @@ class _Simplex:
         self.upper = np.concatenate([lp.upper_bounds, np.full(m, np.inf)])
         self.feas_tol = feas_tol
         self.cap = 50 * (m + k) ** 2
-        self.bland_after = 3 * (m + k)
+        self.bland_after = min(3 * (m + k), 50 * m)
         self.iterations = 0
         self.phase1_iterations = 0
         self.degenerate = 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -295,23 +296,48 @@ def test_probability_formulas_against_simulation():
 def test_width_bound_check_diagonal():
     n = 4
     big_r = 40.0
-    vectors = big_r * np.eye(n)
-    bound, sampled, ok = ct.width_bound_check(vectors, big_r, n_dirs=2000)
+    bound, inradius, ok = ct.width_bound_check(big_r * np.eye(n), big_r)
     assert bound == pytest.approx(big_r / math.sqrt(n) - math.sqrt(n))
-    # max_i R |u_i| >= R/sqrt(n) pointwise, so the probe must clear it
-    assert ok and sampled >= bound - 1e-9
+    # absconv(R e_i) is the cross-polytope of radius R: inradius R/sqrt(N)
+    assert inradius == pytest.approx(big_r / math.sqrt(n), rel=1e-12)
+    assert ok
+
+
+def _perturbed(n, big_r, seed):
+    gen = np.random.default_rng(seed)
+    return big_r * np.eye(n) + gen.uniform(-1.0, 1.0, (n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_width_bound_check_is_the_exact_inradius(n):
+    v = _perturbed(n, 6.0, n)
+    _, inradius, _ = ct.width_bound_check(v, 6.0)
+    # the support function at a unit u is max_i |v_i . u|; the maximizing
+    # sign vector's direction attains the inradius
+    best = max(itertools.product((1.0, -1.0), repeat=n),
+               key=lambda s: np.linalg.norm(np.linalg.solve(v, s)))
+    u = np.linalg.solve(v, best)
+    u /= np.linalg.norm(u)
+    assert np.abs(v @ u).max() == pytest.approx(inradius, rel=1e-12)
+    # and no direction has a smaller support
+    dirs = np.random.default_rng(100 + n).standard_normal((10_000, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    assert np.abs(dirs @ v.T).max(axis=1).min() >= inradius * (1 - 1e-12)
+
+
+def test_width_bound_check_singular_and_budget():
+    # R = 1 with y_i = -e_i + e_1 puts every vector on e_1: a flat body
+    v = np.zeros((3, 3))
+    v[:, 0] = 1.0
+    assert ct.width_bound_check(v, 1.0)[1] == 0.0
+    n = ct.WIDTH_SIGN_BUDGET.bit_length() + 1
+    with pytest.raises(ValueError, match="WIDTH_SIGN_BUDGET"):
+        ct.width_bound_check(10.0 * np.eye(n), 10.0)
 
 
 def test_width_bound_check_rejects_large_perturbation():
     with pytest.raises(ValueError):
         ct.width_bound_check(3.0 * np.eye(2) + 1.5, 3.0)
-
-
-def test_width_bound_check_deterministic():
-    v = 25.0 * np.eye(3) + 0.5
-    a = ct.width_bound_check(v, 25.0, n_dirs=500, seed=4)
-    b = ct.width_bound_check(v, 25.0, n_dirs=500, seed=4)
-    assert a == b
 
 
 # ----------------------------------------------------- compatibility const

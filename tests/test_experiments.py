@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
+from spikybp import cli, rng
 from spikybp import experiments as ex
-from spikybp import rng
 from spikybp.experiments import (CSV_HEADER, DEFAULT_CHECKS,
                                  ExperimentConfig, PlanInfeasibleError,
-                                 SweepGrid, run_cell, run_gaussian_baseline,
-                                 sweep, wilson_95)
+                                 run_cell, run_gaussian_baseline, wilson_95)
 
 import oracles
 
@@ -268,62 +267,90 @@ def test_rademacher_pairs_defeat_bp_at_three_rows():
 
 # ------------------------------------------------------------------ sweep
 
-def test_sweep_csv_schema_and_rows(tmp_path):
-    out = tmp_path / "sweep.csv"
-    grid = SweepGrid((3,), (5000, 6000), (3.0,), (2,), base_seed=11)
-    results = sweep(grid, out)
-    assert len(results) == 2
-    with open(out, newline="") as f:
+def sweep(tmp_path, *args, n_rows="3", out="sweep.csv"):
+    return cli.run(["sweep", "--N-list", n_rows, "--c-lo-list", "3",
+                    "--threads", "1", "--out", str(tmp_path / out), *args])
+
+
+def test_sweep_csv_schema_and_rows(tmp_path, capsys):
+    assert sweep(tmp_path, "--n-list", "5000,6000", "--trials-list", "2",
+                 "--seed", "11") == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "sweep.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == list(CSV_HEADER)
     assert len(rows) == 1 + 2 * 3  # two cells x (two trials + aggregate)
-    for cell_id in (0, 1):
+    for cell_id, n_cols in enumerate((5000, 6000)):
         block = rows[1 + 3 * cell_id: 1 + 3 * (cell_id + 1)]
         for row in block:
             assert row[0] == str(cell_id)
-            assert row[1] == "3"
+            assert row[1] == "3" and row[2] == str(n_cols)
         trials = [r[6] for r in block]
         assert trials == ["0", "1", "-1"]
         agg = block[-1]
         assert agg[7] == ""  # no seed on the aggregate row
-        config, stats = results[cell_id]
         # float fields repr-roundtrip to the exact plan values
-        assert float(agg[3]) == stats.plan.delta
-        assert float(agg[4]) == stats.plan.p
-        assert float(agg[5]) == stats.plan.big_r
-        assert float(agg[8]) == stats.per_check["failure_cert"].frequency
+        plan = ex.resolve_plan(ExperimentConfig(3, n_cols, 2, 11))
+        assert float(agg[3]) == plan.delta
+        assert float(agg[4]) == plan.p
+        assert float(agg[5]) == plan.big_r
+        found = [int(r[8]) for r in block[:-1]]
+        assert float(agg[8]) == sum(found) / len(found)
 
 
-def test_sweep_deterministic_bytes(tmp_path):
-    grid = SweepGrid((3,), (5000,), (3.0,), (2,), base_seed=7)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweep(grid, a)
-    sweep(grid, b)
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_deterministic_bytes(tmp_path, capsys):
+    for out in ("a.csv", "b.csv"):
+        assert sweep(tmp_path, "--n-list", "5000", "--trials-list", "2",
+                     "--seed", "7", out=out) == 0
+    capsys.readouterr()
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
 
 
-def test_sweep_infeasible_cell_raises(tmp_path):
-    grid = SweepGrid((3,), (400,), (3.0,), (1,), base_seed=1)
-    with pytest.raises(PlanInfeasibleError):
-        sweep(grid, tmp_path / "x.csv")
+@pytest.fixture
+def ran(monkeypatch):
+    """Records the configs run_cell is called with, and runs none of them."""
+    calls = []
+    monkeypatch.setattr(ex, "run_cell",
+                        lambda cfg, threads: calls.append(cfg))
+    return calls
 
 
-def test_sweep_builds_every_config_before_the_first_cell(tmp_path,
-                                                         monkeypatch):
-    ran = []
-    monkeypatch.setattr(ex, "run_cell", lambda cfg, threads: ran.append(cfg))
-    for grid in (SweepGrid((3,), (5000,), (3.0,), (2, 0), base_seed=1),
-                 SweepGrid((3,), (5000,), (3.0,), (2,), base_seed=1,
-                           checks={"nsp_gaussian_baseline"})):
-        with pytest.raises(ValueError):
-            sweep(grid, tmp_path / "x.csv")
+def test_sweep_builds_every_config_before_the_first_cell(tmp_path, capsys,
+                                                         ran):
+    for args in (["--trials-list", "2,0"],
+                 ["--trials-list", "2", "--checks", "nsp_gaussian_baseline"]):
+        assert sweep(tmp_path, "--n-list", "5000", "--seed", "1", *args) == 1
+    capsys.readouterr()
     assert ran == []
-    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_grid_validation():
-    with pytest.raises(ValueError):
-        SweepGrid((), (100,), (3.0,), (1,), base_seed=0)
+def test_sweep_checks_every_plan_before_the_first_cell(tmp_path, capsys, ran):
+    # cell 0 (n = 30000) is feasible, cell 1 (n = 400) violates C1
+    assert sweep(tmp_path, "--n-list", "30000,400", "--trials-list", "20",
+                 "--seed", "7") == 1
+    assert "C1" in capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_force_warns_once_per_infeasible_cell(tmp_path, capsys):
+    assert sweep(tmp_path, "--force", "--n-list", "10000", "--trials-list",
+                 "1", "--seed", "7", "--checks", "clean_col",
+                 n_rows="3,5") == 0
+    err = capsys.readouterr().err
+    # N = 3 is feasible; at N = 5 the planned R = 9.08 breaks R < 2N
+    assert err == "warning: plan infeasible, C1 violated, R=9.08411 >= 2N=10\n"
+    with open(tmp_path / "sweep.csv", newline="") as f:
+        assert [r[1] for r in csv.reader(f)][1:] == ["3", "3", "5", "5"]
+
+
+def test_sweep_empty_list_exits_1(tmp_path, capsys, ran):
+    assert sweep(tmp_path, "--n-list", "", "--trials-list", "1",
+                 "--seed", "0") == 1
+    assert "nonempty" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_cell_rows_missing_checks_leave_fields_empty(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from spikybp import recovery, simplex
+from spikybp import recovery, rng, simplex
+from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
+                              sample_matrix)
 from spikybp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              solve)
 
@@ -225,6 +227,21 @@ def test_pivot_path_pins(lp_count):
     ]
     assert [s.objective_value for s in lp_count] == pytest.approx(
         [1.0, -0.21368640946062925, 1.0716607771960946], abs=1e-12)
+
+
+def test_bland_rule_ends_a_degenerate_stall(lp_count):
+    # a tie: columns equal to +-column 1 make the basis-pursuit value exactly
+    # 1, and Dantzig pricing cycles through zero steps; with Bland's rule after
+    # 3 (m + k) degenerate pivots this LP took 60,070 pivots, with 50 m it
+    # takes 652
+    plan = plan_parameters(12, 10_000)
+    spec = EnsembleSpec(ScalarLaw.spiky(plan.delta, 4.0), 12, 10_000,
+                        rng.mix_seed(7, 5))
+    g = sample_matrix(spec).entries
+    bp = recovery.basis_pursuit(g[:, 1:], g[:, 0])
+    assert bp.l1_value == pytest.approx(1.0, abs=1e-9)
+    [sol] = lp_count
+    assert sol.bland and sol.iterations <= 1000
 
 
 def test_dual_certificate_on_optimal():
