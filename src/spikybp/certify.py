@@ -25,6 +25,7 @@ import numpy as np
 
 from .recovery import (NoSolutionError, SparseVector, _entries, _kernel_lp,
                        basis_pursuit)
+from .simplex import FEAS_TOL
 
 STRICT_MARGIN_TOL = 1e-7
 
@@ -35,7 +36,6 @@ WIDTH_SIGN_BUDGET = 1 << 16
 
 @dataclass
 class FailureCertificate:
-    target_index_set: tuple[int, ...]
     target: SparseVector
     witness: np.ndarray
     residual: float
@@ -70,14 +70,14 @@ class CompatibilityError(RuntimeError):
         self.gap = gap
 
 
-def er_failure_certificate(gamma, v: SparseVector,
-                           feas_tol: float = 1e-9) -> FailureCertificate | None:
+def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
     """The least-l1 w on supp(v)^c with Gamma w = Gamma v, if ||w||_1 <= 1.
 
     This is basis pursuit on the columns off supp(v), so l1_witness is the
     least l1 norm r of such a representation.  Returns None when
-    r > 1 + feas_tol or no such w exists, which is NOT a proof that exact
-    reconstruction holds at v; only er_check_nsp decides positively.
+    r > 1 + simplex.FEAS_TOL (so a tie, r = 1, is a certificate) or no such
+    w exists, which is NOT a proof that exact reconstruction holds at v;
+    only er_check_nsp decides positively.
     """
     g = _entries(gamma)
     n_cols = g.shape[1]
@@ -90,24 +90,23 @@ def er_failure_certificate(gamma, v: SparseVector,
         return None
     y = g[:, list(v.support)] @ np.array(v.values)
     try:
-        result = basis_pursuit(g[:, comp], y, feas_tol)
+        result = basis_pursuit(g[:, comp], y)
     except NoSolutionError:
         return None
-    if result.l1_value > 1.0 + feas_tol:
+    if result.l1_value > 1.0 + FEAS_TOL:
         return None
     w = np.zeros(n_cols)
     w[comp] = result.minimizer
     residual = float(np.abs(g @ w - y).max())
-    return FailureCertificate(v.support, v, w, residual, result.l1_value)
+    return FailureCertificate(v, w, residual, result.l1_value)
 
 
-def er_check_nsp(gamma, d: int,
-                 strict_margin_tol: float = STRICT_MARGIN_TOL) -> NspVerdict:
+def er_check_nsp(gamma, d: int) -> NspVerdict:
     """Exact ER(d) verdict via the null space property.
 
     worst_value is max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} over
     |S| = d and signs s, and ER(d) holds iff it is below
-    1/2 - strict_margin_tol.  d = 1 goes through the least-l1
+    1/2 - STRICT_MARGIN_TOL.  d = 1 goes through the least-l1
     representation norms (_er1_worst), so worst_signs is the convention
     (1,); d = 2 solves one kernel LP per pair and sign pattern up to h -> -h.
     """
@@ -126,7 +125,7 @@ def er_check_nsp(gamma, d: int,
     else:
         worst_value, worst_support, worst_signs = _er2_worst(g)
     margin = 0.5 - worst_value
-    return NspVerdict(d, worst_value < 0.5 - strict_margin_tol,
+    return NspVerdict(d, worst_value < 0.5 - STRICT_MARGIN_TOL,
                       worst_support, worst_signs, worst_value, margin)
 
 
@@ -393,7 +392,7 @@ def parse_certificate(text: str) -> FailureCertificate:
         fields[key.strip()] = value.strip()
     target = SparseVector.parse(fields["target"])
     witness = SparseVector.parse(fields["witness"]).to_dense()
-    return FailureCertificate(target.support, target, witness,
+    return FailureCertificate(target, witness,
                               float(fields["residual"]),
                               float(fields["l1_witness"]))
 

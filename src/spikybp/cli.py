@@ -74,9 +74,7 @@ def _target_or_y(args, mat) -> np.ndarray:
 
 
 def _warn_infeasible(plan) -> None:
-    bad = plan.first_violated
-    print(f"warning: plan infeasible, {bad.name} violated, {bad.detail}",
-          file=sys.stderr)
+    print(f"warning: {_exp.plan_violation(plan)}", file=sys.stderr)
 
 
 def _law_from_args(args, shape: tuple[int, int] | None = None):
@@ -95,12 +93,9 @@ def _law_from_args(args, shape: tuple[int, int] | None = None):
         return ScalarLaw.spiky(args.delta, args.big_r)
     if shape is None:
         raise ValueError("spiky law needs --delta and --R")
-    plan = plan_parameters(*shape, args.c_lo, args.c_4)
+    plan = _exp.check_plan(plan_parameters(*shape, args.c_lo, args.c_4),
+                           args.force)
     if not plan.feasible:
-        if not args.force:
-            bad = plan.first_violated
-            raise ValueError(f"plan infeasible: {bad.name} violated, "
-                             f"{bad.detail} (pass --force to sample anyway)")
         _warn_infeasible(plan)
     return plan.law()
 
@@ -171,7 +166,7 @@ def cmd_moments(args) -> int:
 def cmd_certify(args) -> int:
     mat = read_matrix_text(args.matrix)
     v = parse_target(args.target, mat.n_cols)
-    cert = _certify.er_failure_certificate(mat, v, feas_tol=args.feas_tol)
+    cert = _certify.er_failure_certificate(mat, v)
     if cert is None:
         print(f"no certificate: basis pursuit not provably breakable at "
               f"target {args.target}")
@@ -188,8 +183,7 @@ def cmd_certify(args) -> int:
 
 def cmd_nsp(args) -> int:
     mat = read_matrix_text(args.matrix)
-    verdict = _certify.er_check_nsp(mat, args.d,
-                                    strict_margin_tol=args.margin_tol)
+    verdict = _certify.er_check_nsp(mat, args.d)
     print(_certify.format_verdict(verdict))
     return 0
 
@@ -197,11 +191,10 @@ def cmd_nsp(args) -> int:
 def cmd_recover(args) -> int:
     mat = read_matrix_text(args.matrix)
     y = _target_or_y(args, mat)
-    result = _rec.basis_pursuit(mat, y, feas_tol=args.feas_tol)
+    result = _rec.basis_pursuit(mat, y)
     if args.unique:
         result = _rec.certify_uniqueness(mat, y, result,
-                                         uniqueness_tol=args.uniqueness_tol,
-                                         feas_tol=args.feas_tol)
+                                         uniqueness_tol=args.uniqueness_tol)
     x = result.minimizer
     show_tol = 1e-9 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
     print(f"l1_value = {result.l1_value!r}")
@@ -219,7 +212,7 @@ def cmd_recover(args) -> int:
 def cmd_l0(args) -> int:
     mat = read_matrix_text(args.matrix)
     y = _target_or_y(args, mat)
-    sols = _rec.l0_brute_force(mat, y, args.d_max, res_tol=args.res_tol)
+    sols = _rec.l0_brute_force(mat, y, args.d_max)
     print(f"solutions: {len(sols)}")
     for s in sols:
         print(s.format())
@@ -231,8 +224,7 @@ def cmd_compat(args) -> int:
     s_set = tuple(k - 1 for k in args.s)
     if any(k < 0 for k in s_set):
         raise ValueError("--s takes 1-based column indices")
-    value = _certify.compatibility_constant(mat, s_set, args.l_budget,
-                                            gap_tol=args.gap_tol)
+    value = _certify.compatibility_constant(mat, s_set, args.l_budget)
     print(f"S (1-based) = {sorted(args.s)}  L = {args.l_budget!r}")
     print(f"phi2 = {value.phi2!r}")
     print(f"iterations = {value.iterations}")
@@ -340,15 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix(sp)
     sp.add_argument("--target", required=True,
                     help='"e<k>" (1-based) or "dim; i:v,..."')
-    sp.add_argument("--feas-tol", dest="feas_tol", type=float, default=1e-9)
     sp.add_argument("--out", help="write the certificate here")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("nsp", help="exact null space property check")
     _add_matrix(sp)
     sp.add_argument("--d", type=int, required=True, choices=(1, 2))
-    sp.add_argument("--margin-tol", dest="margin_tol", type=float,
-                    default=_certify.STRICT_MARGIN_TOL)
     sp.set_defaults(func=cmd_nsp)
 
     sp = sub.add_parser("recover", help="basis pursuit, optionally with a "
@@ -357,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_or_y(sp)
     sp.add_argument("--unique", action="store_true",
                     help="also decide uniqueness of the minimizer")
-    sp.add_argument("--feas-tol", dest="feas_tol", type=float, default=1e-9)
     sp.add_argument("--uniqueness-tol", dest="uniqueness_tol", type=float,
                     default=_rec.UNIQUENESS_TOL,
                     help="margin in [0, 1): unique only if the strict-dual "
@@ -369,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix(sp)
     _add_target_or_y(sp)
     sp.add_argument("--d-max", dest="d_max", type=int, required=True)
-    sp.add_argument("--res-tol", dest="res_tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_l0)
 
     sp = sub.add_parser("compat", help="compatibility constant phi^2(L, S)")
@@ -377,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=_csv_ints, required=True,
                     help="1-based column indices, e.g. 1 or 1,2")
     sp.add_argument("--L", dest="l_budget", type=float, required=True)
-    sp.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-7)
     sp.set_defaults(func=cmd_compat)
 
     sp = sub.add_parser("sweep", help="cartesian experiment sweep to CSV")

@@ -105,8 +105,6 @@ class ParameterPlan:
     delta: float
     p: float
     big_r: float
-    c_lo: float
-    c_4: float
     conditions: tuple[PlanCondition, ...]
 
     @property
@@ -145,8 +143,7 @@ def evaluate_plan(n_rows: int, n_cols: int, delta: float, p: float,
         PlanCondition("C4", f"delta={delta:.6g} <= 1/N={1.0 / n_rows:.6g}",
                       delta <= 1.0 / n_rows),
     )
-    return ParameterPlan(n_rows, n_cols, delta, p, big_r, c_lo, c_4,
-                         conditions)
+    return ParameterPlan(n_rows, n_cols, delta, p, big_r, conditions)
 
 
 def plan_parameters(n_rows: int, n_cols: int, c_lo: float = 3.0,

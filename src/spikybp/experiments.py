@@ -122,11 +122,21 @@ def resolve_plan(config: ExperimentConfig) -> ParameterPlan:
     else:
         plan = plan_parameters(config.n_rows, config.n_cols,
                                config.c_lo, config.c_4)
-    if not plan.feasible and not config.force:
-        bad = plan.first_violated
+    return check_plan(plan, config.force)
+
+
+def plan_violation(plan: ParameterPlan) -> str:
+    """'plan infeasible, <C> violated, <detail>' for the first violated
+    condition: the words of both the refusal and the forced warning."""
+    bad = plan.first_violated
+    return f"plan infeasible, {bad.name} violated, {bad.detail}"
+
+
+def check_plan(plan: ParameterPlan, force: bool) -> ParameterPlan:
+    """The plan, or PlanInfeasibleError if it is infeasible and not forced."""
+    if not plan.feasible and not force:
         raise PlanInfeasibleError(
-            f"plan infeasible at {bad.name} ({bad.detail}); "
-            f"set force to run anyway")
+            f"{plan_violation(plan)} (--force runs it anyway)")
     return plan
 
 

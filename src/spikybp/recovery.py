@@ -117,15 +117,21 @@ def _entries(gamma) -> np.ndarray:
     return np.atleast_2d(np.asarray(gamma, dtype=np.float64))
 
 
-def basis_pursuit(gamma, y, feas_tol: float = 1e-9) -> RecoveryResult:
-    """min sum(t+ + t-) s.t. Gamma (t+ - t-) = y, t+- >= 0; unique left Unknown."""
+def _system(gamma, y) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma's entries, y as a float vector), checking y's length."""
     g = _entries(gamma)
-    n_rows, n_cols = g.shape
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.shape != (n_rows,):
+    if y.shape != (g.shape[0],):
         raise ValueError("y length must match the number of matrix rows")
+    return g, y
+
+
+def basis_pursuit(gamma, y) -> RecoveryResult:
+    """min sum(t+ + t-) s.t. Gamma (t+ - t-) = y, t+- >= 0; unique left Unknown."""
+    g, y = _system(gamma, y)
+    n_cols = g.shape[1]
     lp = simplex.LinearProgram(np.ones(2 * n_cols), np.hstack([g, -g]), y)
-    sol = simplex.solve(lp, feas_tol)
+    sol = simplex.solve(lp)
     if sol.status == simplex.INFEASIBLE:
         raise NoSolutionError("y is not in the range of Gamma")
     if sol.status != simplex.OPTIMAL:
@@ -134,8 +140,8 @@ def basis_pursuit(gamma, y, feas_tol: float = 1e-9) -> RecoveryResult:
     return RecoveryResult(t, sol.objective_value, UNKNOWN)
 
 
-def _kernel_lp(g: np.ndarray, c: np.ndarray, free: np.ndarray,
-               feas_tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def _kernel_lp(g: np.ndarray, c: np.ndarray,
+               free: np.ndarray) -> tuple[float, np.ndarray]:
     """(max c'z, z) over Gamma z = 0, ||z_C||_1 <= 1, with z_free free and C
     the other columns; the LP variables are (z_free, z_C+, z_C-, slack)."""
     n_rows, n_cols = g.shape
@@ -151,7 +157,7 @@ def _kernel_lp(g: np.ndarray, c: np.ndarray, free: np.ndarray,
     lower = np.zeros(k + 2 * m + 1)
     lower[:k] = -np.inf
     obj = np.concatenate([-c[free], -c[comp], c[comp], [0.0]])
-    sol = simplex.solve(simplex.LinearProgram(obj, a, b, lower), feas_tol)
+    sol = simplex.solve(simplex.LinearProgram(obj, a, b, lower))
     if sol.status != simplex.OPTIMAL:
         raise RuntimeError(f"kernel LP returned {sol.status}")
     z = np.zeros(n_cols)
@@ -161,13 +167,13 @@ def _kernel_lp(g: np.ndarray, c: np.ndarray, free: np.ndarray,
 
 
 def certify_uniqueness(gamma, y, result: RecoveryResult,
-                       uniqueness_tol: float = UNIQUENESS_TOL,
-                       feas_tol: float = 1e-9) -> RecoveryResult:
+                       uniqueness_tol: float = UNIQUENESS_TOL) -> RecoveryResult:
     """Resolve the unique field of a basis-pursuit result by the strict-dual test.
 
-    With S the support of x* = result.minimizer (entries above feas_tol
-    relative to its largest), C the rest and sigma = sign(x*_S), x* is the
-    unique minimizer iff Gamma_S has full column rank and
+    With S the support of x* = result.minimizer (entries above
+    simplex.FEAS_TOL relative to its largest), C the rest and
+    sigma = sign(x*_S), x* is the unique minimizer iff Gamma_S has full
+    column rank and
 
         value = max { -sigma'z_S : Gamma z = 0, ||z_C||_1 <= 1 } < 1
 
@@ -181,13 +187,10 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     """
     if not 0.0 <= uniqueness_tol < 1.0:
         raise ValueError("uniqueness_tol must lie in [0, 1)")
-    g = _entries(gamma)
-    n_rows, n_cols = g.shape
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.shape != (n_rows,):
-        raise ValueError("y length must match the number of matrix rows")
+    g, _ = _system(gamma, y)
+    n_cols = g.shape[1]
     x = result.minimizer
-    on_s = np.abs(x) > feas_tol * float(np.abs(x).max(initial=0.0))
+    on_s = np.abs(x) > simplex.FEAS_TOL * float(np.abs(x).max(initial=0.0))
     s_idx = np.nonzero(on_s)[0]
     sigma = np.sign(x[s_idx])
     k = s_idx.size
@@ -200,7 +203,7 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     else:
         c = np.zeros(n_cols)
         c[s_idx] = -sigma
-        value, z = _kernel_lp(g, c, s_idx, feas_tol)
+        value, z = _kernel_lp(g, c, s_idx)
         if value < 1.0 - uniqueness_tol:
             return replace(result, unique=UNIQUE, witness_alt=None)
     shrink = s_idx[sigma * z[s_idx] < 0.0]
@@ -277,11 +280,8 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
     or infinite, which fails residual <= threshold.  The list equals, object
     by object and in order, what the checking constructor would build.
     """
-    g = _entries(gamma)
+    g, y = _system(gamma, y)
     n_rows, n_cols = g.shape
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.shape != (n_rows,):
-        raise ValueError("y length must match the number of matrix rows")
     if not 0 <= d_max <= 3:
         raise ValueError("d_max must lie in [0, 3]")
     if n_rows < d_max:

@@ -33,6 +33,7 @@ _CAN_DEC = np.array([False, True, False, True])
 _DUAL_TOL = 1e-9      # reduced-cost threshold for entering candidates
 _PIVOT_TOL = 1e-10    # smallest usable ratio-test denominator
 _DEGEN_TOL = 1e-12    # step below this counts as a degenerate pivot
+FEAS_TOL = 1e-9       # phase-1 residual above this*(1 + max|b|): infeasible
 
 
 def _lu_routines():
@@ -125,7 +126,7 @@ class LpSolution:
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram, feas_tol: float):
+    def __init__(self, lp: LinearProgram):
         m, k = lp.eq_matrix.shape
         self.m, self.k = m, k
         total = k + m
@@ -135,7 +136,6 @@ class _Simplex:
         self.c_orig = lp.objective
         self.lower = np.concatenate([lp.lower_bounds, np.zeros(m)])
         self.upper = np.concatenate([lp.upper_bounds, np.full(m, np.inf)])
-        self.feas_tol = feas_tol
         self.cap = 50 * (m + k) ** 2
         self.bland_after = min(3 * (m + k), 50 * m)
         self.iterations = 0
@@ -258,7 +258,7 @@ class _Simplex:
         self._phase(c1, phase1=True)
         self.phase1_iterations = self.iterations
         infeas = float(self.x[k:].sum())
-        if infeas > self.feas_tol * (1.0 + np.abs(self.b).max(initial=0.0)):
+        if infeas > FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)):
             return self._solution(INFEASIBLE)
 
         self.upper[k:] = 0.0  # artificials pinned for phase 2
@@ -274,8 +274,8 @@ class _Simplex:
                               max_violation=max(resid, breach))
 
 
-def solve(lp: LinearProgram, feas_tol: float = 1e-9) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex; Dantzig pricing, Bland's rule after cycling stalls."""
     if lp.n_rows < 1:
         raise ValueError("need at least one equality row")
-    return _Simplex(lp, feas_tol).run()
+    return _Simplex(lp).run()

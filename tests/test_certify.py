@@ -27,7 +27,7 @@ def test_identity_has_no_certificate():
 def test_duplicate_column_certificate():
     cert = ct.er_failure_certificate(DUP, target(3, 0))
     assert cert is not None
-    assert cert.target_index_set == (0,)
+    assert cert.target.support == (0,)
     w = cert.witness
     assert abs(w[0]) <= 1e-12  # witness avoids the target support
     assert np.sum(np.abs(w)) <= 1.0 + 1e-8
@@ -68,6 +68,18 @@ def test_certificate_is_the_least_l1_representation():
                 assert cert.l1_witness == pytest.approx(
                     np.abs(cert.witness).sum(), abs=1e-12)
     assert found == 71  # of 183 targets
+
+
+@pytest.mark.parametrize("eps, found", [(0.5e-9, True), (0.9e-9, True),
+                                        (1.1e-9, False), (2e-9, False)])
+def test_certificate_tie_margin_is_feas_tol(eps, found):
+    # the only representation of e_0 off its support has r = 1 + eps; a tie
+    # counts as a failure up to r <= 1 + simplex.FEAS_TOL = 1 + 1e-9
+    g = np.array([[1.0, 1.0 / (1.0 + eps)], [0.0, 0.0]])
+    cert = ct.er_failure_certificate(g, target(2, 0))
+    assert (cert is not None) == found
+    if found:
+        assert cert.l1_witness == pytest.approx(1.0 + eps, abs=1e-15)
 
 
 def test_certificate_validation():

@@ -1,4 +1,7 @@
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +48,33 @@ def test_unknown_command_and_flags_exit_1(capsys):
     assert cli.run(["plan", "--N", "3"]) == 1  # missing --n
     assert cli.run(["plan", "--N", "3", "--n", "100", "--bogus", "1"]) == 1
     capsys.readouterr()
+
+
+def test_readme_commands_parse():
+    # every `$ spikybp ...` example in README.md, continuations joined,
+    # must parse, so the README cannot name a flag the parser lacks
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = re.findall(r"^\$ spikybp (.*)$", readme.replace("\\\n", " "),
+                          flags=re.M)
+    assert len(commands) >= 11
+    parser = cli.build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command))
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["certify", "--target", "e1"], "--feas-tol"),
+    (["recover", "--target", "e1"], "--feas-tol"),
+    (["nsp", "--d", "1"], "--margin-tol"),
+    (["l0", "--target", "e1", "--d-max", "1"], "--res-tol"),
+    (["compat", "--s", "1", "--L", "1"], "--gap-tol"),
+])
+def test_removed_tolerance_flags_exit_1(identity_file, capsys, command, flag):
+    argv = command + ["--matrix", identity_file]
+    assert cli.run(argv) in (0, 2)
+    capsys.readouterr()
+    assert cli.run(argv + [flag, "1e-9"]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -99,6 +129,18 @@ def test_sample_infeasible_needs_force(tmp_path, capsys):
     err = capsys.readouterr().err
     # violated condition still echoed, in the same words as theorem-a's
     assert err.startswith("warning: plan infeasible, C1 violated, ")
+
+
+def test_sample_and_theorem_a_refuse_a_plan_alike(tmp_path, capsys):
+    out = str(tmp_path / "x.txt")
+    common = ["--N", "3", "--n", "400", "--seed", "1", "--out", out]
+    assert cli.run(["sample"] + common) == 1
+    sample_err = capsys.readouterr().err
+    assert cli.run(["theorem-a", "--trials", "1"] + common) == 1
+    assert capsys.readouterr().err == sample_err
+    assert sample_err.startswith("error: plan infeasible, C1 violated, ")
+    assert sample_err.count("\n") == 1
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_sample_explicit_law_needs_both_params(tmp_path, capsys):

@@ -226,7 +226,7 @@ def test_certificate_attached_on_failure():
     for r in stats.records:
         if r.failure_found:
             assert r.certificate is not None
-            assert r.certificate.target_index_set == (r.witness_j,)
+            assert r.certificate.target.support == (r.witness_j,)
 
 
 def test_run_cell_trimmed_checks():

@@ -107,7 +107,7 @@ def test_beale_degenerate_cycle_guard():
     assert (sol.iterations, sol.phase1_iterations, sol.degenerate,
             sol.bland) == (5, 3, 2, False)
     # with no degenerate pivots allowed, the first one switches to Bland
-    run = simplex._Simplex(lp, 1e-9)
+    run = simplex._Simplex(lp)
     run.bland_after = 0
     bland = run.run()
     assert bland.bland and bland.degenerate >= 1
@@ -201,7 +201,7 @@ def test_singular_basis_raises():
     # where a bare dgetrs would hand back an inf or NaN step
     lp = LinearProgram(np.ones(3), [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]],
                        [1.0, 1.0], upper_bounds=np.full(3, 2.0))
-    run = simplex._Simplex(lp, 1e-9)
+    run = simplex._Simplex(lp)
     run.basis[:] = 1
     x = run.x.copy()
     with pytest.raises(np.linalg.LinAlgError):
