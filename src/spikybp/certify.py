@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .recovery import (NoSolutionError, SparseVector, _entries, _kernel_lp,
-                       basis_pursuit)
+from . import recovery
+from .recovery import NoSolutionError, SparseVector, _entries, _kernel_lp
 from .simplex import FEAS_TOL
 
 STRICT_MARGIN_TOL = 1e-7
@@ -90,7 +90,7 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
         return None
     y = g[:, list(v.support)] @ np.array(v.values)
     try:
-        result = basis_pursuit(g[:, comp], y)
+        result = recovery.basis_pursuit(g[:, comp], y)
     except NoSolutionError:
         return None
     if result.l1_value > 1.0 + FEAS_TOL:
@@ -160,7 +160,7 @@ def _er1_worst(g: np.ndarray):
                 break
             others = np.arange(n_cols) != j
             try:
-                r = basis_pursuit(g[:, others], g[:, j]).l1_value
+                r = recovery.basis_pursuit(g[:, others], g[:, j]).l1_value
             except NoSolutionError:
                 continue  # a_j is outside the span of the others
             if r < best:

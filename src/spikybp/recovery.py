@@ -1,8 +1,13 @@
 """Basis pursuit, per-target uniqueness certification, l0 brute force.
 
 Basis pursuit solves min ||t||_1 subject to Gamma t = y as an LP over the
-split t = t+ - t-.  Uniqueness of its minimizer is decided exactly by one
-strict-dual LP on the minimizer's support and signs, an instance of the
+split t = t+ - t-, by sifting (column generation; Bixby, Gregory, Lustig,
+Marsten & Shanno 1992): the simplex solves the LP on a working set of at
+first SIFT_COLUMNS columns, one product Gamma'y prices every column per
+round, and the loop stops when the full LP's dual check ||Gamma'y||_inf
+<= 1 + simplex._DUAL_TOL holds.  Up to SIFT_COLUMNS columns the first
+round is the whole LP.  Uniqueness of its minimizer is decided exactly by
+one strict-dual LP on the minimizer's support and signs, an instance of the
 kernel LP max {c'z : Gamma z = 0, ||z_C||_1 <= 1} (_kernel_lp) that the
 ER(2) verdict in certify also solves; l0 recovery enumerates
 supports of growing size, all columns at once for size 1, one numpy block
@@ -32,6 +37,17 @@ NOT_UNIQUE = "not_unique"
 UNKNOWN = "unknown"
 
 UNIQUENESS_TOL = 1e-6
+
+# Columns in basis pursuit's first working set.  The simplex prices every
+# column on every pivot: a traced pivot costs about 1 ms on the
+# 3 x 2(10^4 - 1) LP of a theorem-a failure certificate, 0.16 ms with 256
+# columns.  Over first sets of 32 to 1024 columns, rounds per LP fall as
+# the set grows, and 256 or 512 keep pivots per LP near their least on
+# 12 x 10^4 spiky (R = 4) and 24 x 10^4 Gaussian draws; the time per LP
+# from 64 columns up differed by less than the host's noise
+# (BENCH_sifting.json).  Up to 256 columns the first round is the whole LP,
+# so the 10x20 and 12x63 LPs of the benchmark keep their pivot paths.
+SIFT_COLUMNS = 256
 
 # Most size-3 supports l0_brute_force will enumerate.  One triple costs about
 # 21 us (a 3x3 solve and a residual; Gaussian 4x60 and 5x40, one Xeon core),
@@ -127,16 +143,51 @@ def _system(gamma, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def basis_pursuit(gamma, y) -> RecoveryResult:
-    """min sum(t+ + t-) s.t. Gamma (t+ - t-) = y, t+- >= 0; unique left Unknown."""
+    """min ||t||_1 s.t. Gamma t = y, by sifting; unique left Unknown.
+
+    Each round solves min sum(t+ + t-) s.t. Gamma_W (t+ - t-) = y, t+- >= 0
+    on a working set W of columns, in index order, then prices every column
+    with one product Gamma'y_W of the round's duals.  Column j outside W
+    prices out when |a_j'y_W| > 1 + simplex._DUAL_TOL (after an infeasible
+    round, with its phase-1 duals, when |a_j'y_W| > simplex._DUAL_TOL); the
+    2m most violated of those join W, and the loop stops when none does.
+    That stop is the simplex's own optimality test over every column, so
+    the value is the full LP's, and the minimizer is a vertex with at most
+    m nonzeros.  An infeasible round with nothing to add is a Farkas
+    certificate for the full system: NoSolutionError.
+
+    W starts as every column when there are at most SIFT_COLUMNS, so the
+    first round is the whole LP and pricing finds nothing; otherwise as
+    the SIFT_COLUMNS columns with the largest |a_j'y|.  W only grows.
+    """
     g, y = _system(gamma, y)
-    n_cols = g.shape[1]
-    lp = simplex.LinearProgram(np.ones(2 * n_cols), np.hstack([g, -g]), y)
-    sol = simplex.solve(lp)
+    n_rows, n_cols = g.shape
+    if n_cols <= SIFT_COLUMNS:
+        work = np.arange(n_cols)
+    else:
+        work = np.sort(np.argpartition(-np.abs(g.T @ y), SIFT_COLUMNS)
+                       [:SIFT_COLUMNS])
+    while True:
+        g_w = g[:, work]
+        sol = simplex.solve(simplex.LinearProgram(
+            np.ones(2 * work.size), np.hstack([g_w, -g_w]), y))
+        if sol.status == simplex.OPTIMAL:
+            price = np.abs(g.T @ sol.dual) - 1.0
+        elif sol.status == simplex.INFEASIBLE:
+            price = np.abs(g.T @ sol.dual)
+        else:
+            raise RuntimeError(f"unexpected LP status {sol.status}")
+        price[work] = 0.0  # the round's own test already passed these
+        add = np.nonzero(price > simplex._DUAL_TOL)[0]
+        if add.size == 0:
+            break
+        if add.size > 2 * n_rows:
+            add = add[np.argpartition(-price[add], 2 * n_rows)[:2 * n_rows]]
+        work = np.union1d(work, add)
     if sol.status == simplex.INFEASIBLE:
         raise NoSolutionError("y is not in the range of Gamma")
-    if sol.status != simplex.OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {sol.status}")
-    t = sol.x[:n_cols] - sol.x[n_cols:]
+    t = np.zeros(n_cols)
+    t[work] = sol.x[:work.size] - sol.x[work.size:]
     return RecoveryResult(t, sol.objective_value, UNKNOWN)
 
 

@@ -8,6 +8,12 @@ LAPACK LU (dgetrf) and reuses it for the three solves the pivot needs: the
 basic values, the duals and the entering column (dgetrs).  m stays tiny, so
 an O(m^3) factorization per pivot is cheap, and there is no update drift to
 manage.  A singular basis raises numpy.linalg.LinAlgError.
+
+Every column is priced on every pivot, so a pivot costs O(m k).  Basis
+pursuit over 10^4 columns therefore does not hand this solver the whole
+LP: recovery.basis_pursuit sifts, solving on a working set of columns and
+pricing the rest once per round with the duals returned here.  Those are
+the phase-2 duals with OPTIMAL and the phase-1 duals with INFEASIBLE.
 """
 
 from __future__ import annotations
@@ -113,7 +119,14 @@ class LpSolution:
     """iterations counts the pivots and bound flips of both phases, and
     phase1_iterations those of phase 1.  degenerate counts the steps no
     longer than _DEGEN_TOL; bland is True once enough of them switched
-    pricing to Bland's rule."""
+    pricing to Bland's rule.
+
+    dual is the y of the final basis, with reduced costs c - A'y: the
+    phase-2 duals with OPTIMAL, and with INFEASIBLE the phase-1 duals, for
+    the cost that is 0 on every column.  Then a_j'y <= _DUAL_TOL for every
+    column that may still increase, and if every nonbasic column rests at
+    0, y'b is the phase-1 residual, so y separates b from the cone of the
+    columns (Farkas)."""
     status: str
     x: np.ndarray | None
     objective_value: float | None
@@ -259,7 +272,7 @@ class _Simplex:
         self.phase1_iterations = self.iterations
         infeas = float(self.x[k:].sum())
         if infeas > FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)):
-            return self._solution(INFEASIBLE)
+            return self._solution(INFEASIBLE, dual=self.y)
 
         self.upper[k:] = 0.0  # artificials pinned for phase 2
         c2 = np.concatenate([self.c_orig, np.zeros(m)])

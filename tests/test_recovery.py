@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from spikybp import cli, rng
+from spikybp import cli, rng, simplex
 from spikybp import recovery as rec
 from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
                               sample_matrix)
@@ -119,6 +119,95 @@ def test_y_length_guard():
         basis_pursuit(np.eye(3), np.ones(2))
 
 
+def highs_bp_value(g, y):
+    status, value = oracles.lp_scipy(np.ones(2 * g.shape[1]),
+                                     np.hstack([g, -g]), y,
+                                     np.zeros(2 * g.shape[1]),
+                                     np.full(2 * g.shape[1], np.inf))
+    assert status == "optimal"
+    return value
+
+
+def assert_sifted_optimum(g, y, res, final):
+    """res is a vertex solution of Gamma t = y, and the duals of the last
+    round pass the full LP's optimality test on every column."""
+    assert np.abs(g @ res.minimizer - y).max() <= 1e-9 * (1 + np.abs(y).max())
+    assert np.count_nonzero(res.minimizer) <= g.shape[0]
+    assert res.l1_value == pytest.approx(np.abs(res.minimizer).sum(),
+                                         abs=1e-12)
+    assert np.abs(g.T @ final.dual).max() <= 1.0 + simplex._DUAL_TOL
+
+
+def test_sifted_value_matches_highs(lp_count):
+    draws = []
+    for t in range(3):
+        g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 8, 1000,
+                                       rng.mix_seed(41, t))).entries
+        draws.append((g[:, 1:], g[:, 0]))
+        draws.append((g, g[:, :3] @ np.array([0.5, -2.0, 1.0])))
+    plan = plan_parameters(3, 2000)
+    for t in range(3):
+        g = sample_matrix(EnsembleSpec(plan.law(), 3, 2000,
+                                       rng.mix_seed(41, t))).entries
+        draws.append((g[:, 1:], g[:, 0]))
+        draws.append((g, np.random.default_rng(t).standard_normal(3)))
+    for g, y in draws:
+        assert g.shape[1] > rec.SIFT_COLUMNS
+        lp_count.clear()
+        res = basis_pursuit(g, y)
+        assert res.l1_value == pytest.approx(highs_bp_value(g, y), abs=1e-9)
+        # every round solved a working set, never the whole LP
+        assert all(s.x.size < 2 * g.shape[1] for s in lp_count)
+        assert_sifted_optimum(g, y, res, lp_count[-1])
+
+
+def test_sifted_ties_give_the_dense_value():
+    # the tie shapes of spiky rows with R = 4 at n = 10^4: with columns
+    # equal to +-Gamma e1 the value is exactly 1 and the LPs are degenerate
+    for n_rows in (12, 20, 24):
+        plan = plan_parameters(n_rows, 10_000)
+        spec = EnsembleSpec(ScalarLaw.spiky(plan.delta, 4.0), n_rows, 10_000,
+                            rng.mix_seed(7, 5))
+        g = sample_matrix(spec).entries
+        g[:, 4000] = g[:, 0]
+        g[:, 7000] = -g[:, 0]
+        g, y = g[:, 1:], g[:, 0]
+        dense = simplex.solve(simplex.LinearProgram(
+            np.ones(2 * g.shape[1]), np.hstack([g, -g]), y))
+        res = basis_pursuit(g, y)
+        assert res.l1_value == pytest.approx(dense.objective_value, abs=1e-9)
+        assert res.l1_value == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(g @ res.minimizer - y).max() <= 1e-9
+        assert np.count_nonzero(res.minimizer) <= n_rows
+
+
+def test_sifting_prices_out_of_an_infeasible_working_set(lp_count):
+    # the first working set holds the 256 largest of 300 multiples of
+    # (1, 1), which cannot make y = (1, 0); only column 300 = (0, 1), with
+    # a'y = 0, completes it: y = s (1, 1) / s - (0, 1), least l1 norm
+    # 1 + 1/s at the largest multiple s
+    scale = 1.0 + np.arange(300) / 300.0
+    g = np.column_stack([np.outer([1.0, 1.0], scale), [0.0, 1.0]])
+    y = np.array([1.0, 0.0])
+    res = basis_pursuit(g, y)
+    assert lp_count[0].status == simplex.INFEASIBLE
+    assert lp_count[-1].status == simplex.OPTIMAL
+    assert res.l1_value == pytest.approx(1.0 + 1.0 / scale[-1], abs=1e-12)
+    assert res.l1_value == pytest.approx(highs_bp_value(g, y), abs=1e-9)
+    assert_sifted_optimum(g, y, res, lp_count[-1])
+
+
+def test_sifting_raises_off_the_range(lp_count):
+    # rank 2 in 3 rows and 400 columns: no round can make y, and the last
+    # round's phase-1 duals price out no column
+    g = np.random.default_rng(8).standard_normal((3, 400))
+    g[2] = g[0] + g[1]
+    with pytest.raises(NoSolutionError):
+        basis_pursuit(g, np.array([0.0, 0.0, 1.0]))
+    assert lp_count[-1].status == simplex.INFEASIBLE
+    assert np.abs(g.T @ lp_count[-1].dual).max() <= simplex._DUAL_TOL
+
+
 def test_gaussian_one_sparse_recovery():
     # N = 8 rows are plenty for 1-sparse targets; check sign handling too
     mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 8, 20, seed=3))
@@ -186,7 +275,8 @@ def test_uniqueness_solves_one_lp(lp_count, tmp_path, capsys):
     lp_count.clear()
     assert certify_uniqueness(mat, y, res).unique == UNIQUE
     assert len(lp_count) <= 1
-    # one basis-pursuit LP plus one strict-dual LP, also 4000 columns wide
+    # at 3 x 2000: one sifting round of basis pursuit, then one strict-dual
+    # LP about 4000 columns wide
     path = str(tmp_path / "m.txt")
     assert cli.run(["sample", "--N", "3", "--n", "2000", "--seed", "5",
                     "--force", "--out", path]) == 0

@@ -229,19 +229,48 @@ def test_pivot_path_pins(lp_count):
         [1.0, -0.21368640946062925, 1.0716607771960946], abs=1e-12)
 
 
-def test_bland_rule_ends_a_degenerate_stall(lp_count):
-    # a tie: columns equal to +-column 1 make the basis-pursuit value exactly
-    # 1, and Dantzig pricing cycles through zero steps; with Bland's rule after
-    # 3 (m + k) degenerate pivots this LP took 60,070 pivots, with 50 m it
-    # takes 652
+def stalled_tie():
+    """(Gamma[:, 1:], Gamma e1) of a 12 x 10^4 spiky matrix with columns
+    equal to +-column 1, so the basis-pursuit value is exactly 1."""
     plan = plan_parameters(12, 10_000)
     spec = EnsembleSpec(ScalarLaw.spiky(plan.delta, 4.0), 12, 10_000,
                         rng.mix_seed(7, 5))
     g = sample_matrix(spec).entries
-    bp = recovery.basis_pursuit(g[:, 1:], g[:, 0])
-    assert bp.l1_value == pytest.approx(1.0, abs=1e-9)
-    [sol] = lp_count
+    return g[:, 1:], g[:, 0]
+
+
+def test_bland_rule_ends_a_degenerate_stall():
+    # on the dense [Gamma, -Gamma] LP of the tie, Dantzig pricing cycles
+    # through zero steps; with Bland's rule after 3 (m + k) degenerate
+    # pivots this LP took 60,070 pivots, with 50 m it takes 652
+    g, y = stalled_tie()
+    sol = solve(LinearProgram(np.ones(2 * g.shape[1]), np.hstack([g, -g]), y))
+    assert sol.status == OPTIMAL
+    assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
     assert sol.bland and sol.iterations <= 1000
+
+
+def test_sifting_shortens_the_tie(lp_count):
+    # basis pursuit sifts the same LP: 4 rounds and 120 pivots in all
+    g, y = stalled_tie()
+    bp = recovery.basis_pursuit(g, y)
+    assert bp.l1_value == pytest.approx(1.0, abs=1e-9)
+    assert len(lp_count) > 1
+    assert sum(s.iterations for s in lp_count) <= 240
+
+
+def test_infeasible_returns_phase1_duals():
+    # b is off the range of A, and the split [A, -A] makes every column
+    # movable both ways: the phase-1 duals y have A'y ~ 0 and y'b > 0
+    gen = np.random.default_rng(31)
+    for _ in range(20):
+        a = gen.standard_normal((4, 9))
+        a[3] = a[0] - 2.0 * a[1]
+        b = gen.standard_normal(4)
+        sol = solve(LinearProgram(np.zeros(18), np.hstack([a, -a]), b))
+        assert sol.status == INFEASIBLE
+        assert np.abs(a.T @ sol.dual).max() <= simplex._DUAL_TOL
+        assert sol.dual @ b > simplex.FEAS_TOL * (1.0 + np.abs(b).max())
 
 
 def test_dual_certificate_on_optimal():
