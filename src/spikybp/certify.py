@@ -12,7 +12,8 @@ that maximum is 1/(1 + min_j r_j), with r_j the least l1 norm of a
 representation of column j by the others: a projector-based dual lower
 bound on every r_j orders the columns, and basis pursuit solves for r_j
 only until the next bound reaches the least r_j found.  For d = 2 one
-kernel LP per pair and sign pattern, up to h -> -h, gives the maximum.
+kernel LP per pair and sign pattern, up to h -> -h, gives the maximum;
+each is basis pursuit on [Gamma; c'] (recovery._kernel_lp).
 """
 
 from __future__ import annotations
@@ -172,13 +173,12 @@ def _er2_worst(g: np.ndarray):
     """Max kernel LP value over pairs S and signs with s_1 = +1; the value
     of (S, -s) equals that of (S, s) under h -> -h."""
     n_cols = g.shape[1]
-    no_free = np.zeros(0, dtype=np.intp)
     worst = (-math.inf, (), ())
     for support in itertools.combinations(range(n_cols), 2):
         for signs in ((1, 1), (1, -1)):
             c = np.zeros(n_cols)
             c[list(support)] = signs
-            value, _ = _kernel_lp(g, c, no_free)
+            value, _ = _kernel_lp(g, c)
             if value > worst[0]:
                 worst = (value, support, signs)
     return worst

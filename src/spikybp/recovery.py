@@ -7,9 +7,10 @@ first SIFT_COLUMNS columns, one product Gamma'y prices every column per
 round, and the loop stops when the full LP's dual check ||Gamma'y||_inf
 <= 1 + simplex._DUAL_TOL holds.  Up to SIFT_COLUMNS columns the first
 round is the whole LP.  Uniqueness of its minimizer is decided exactly by
-one strict-dual LP on the minimizer's support and signs, an instance of the
-kernel LP max {c'z : Gamma z = 0, ||z_C||_1 <= 1} (_kernel_lp) that the
-ER(2) verdict in certify also solves; l0 recovery enumerates
+one strict-dual LP on the minimizer's support and signs, reduced to the
+kernel LP max {c'z : A z = 0, ||z||_1 <= 1} (_kernel_lp) that the ER(2)
+verdict in certify also solves, as basis pursuit on [A; c'] z = e_last
+(value 1/r), so basis_pursuit builds every LP; l0 recovery enumerates
 supports of growing size, all columns at once for size 1, one numpy block
 of closed-form 2x2 solves per column for size 2, and one solve per triple
 for size 3, within a budget of L0_TRIPLE_BUDGET triples.
@@ -191,30 +192,20 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
     return RecoveryResult(t, sol.objective_value, UNKNOWN)
 
 
-def _kernel_lp(g: np.ndarray, c: np.ndarray,
-               free: np.ndarray) -> tuple[float, np.ndarray]:
-    """(max c'z, z) over Gamma z = 0, ||z_C||_1 <= 1, with z_free free and C
-    the other columns; the LP variables are (z_free, z_C+, z_C-, slack)."""
-    n_rows, n_cols = g.shape
-    comp = np.delete(np.arange(n_cols), free)
-    k, m = free.size, comp.size
-    a = np.zeros((n_rows + 1, k + 2 * m + 1))
-    a[:n_rows, :k] = g[:, free]
-    a[:n_rows, k:k + m] = g[:, comp]
-    a[:n_rows, k + m:k + 2 * m] = -g[:, comp]
-    a[n_rows, k:] = 1.0
-    b = np.zeros(n_rows + 1)
-    b[n_rows] = 1.0
-    lower = np.zeros(k + 2 * m + 1)
-    lower[:k] = -np.inf
-    obj = np.concatenate([-c[free], -c[comp], c[comp], [0.0]])
-    sol = simplex.solve(simplex.LinearProgram(obj, a, b, lower))
-    if sol.status != simplex.OPTIMAL:
-        raise RuntimeError(f"kernel LP returned {sol.status}")
-    z = np.zeros(n_cols)
-    z[free] = sol.x[:k]
-    z[comp] = sol.x[k:k + m] - sol.x[k + m:k + 2 * m]
-    return -sol.objective_value, z
+def _kernel_lp(a: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """(max c'z, z) over A z = 0, ||z||_1 <= 1, as basis pursuit.
+
+    The value is 1/r with r = min {||z||_1 : [A; c'] z = e_last}, attained
+    at z/r.  A stacked system with no solution means c is orthogonal to
+    ker A: the value is 0, at z = 0.
+    """
+    e_last = np.zeros(a.shape[0] + 1)
+    e_last[-1] = 1.0
+    try:
+        bp = basis_pursuit(np.vstack([a, c]), e_last)
+    except NoSolutionError:
+        return 0.0, np.zeros(c.size)
+    return 1.0 / bp.l1_value, bp.minimizer / bp.l1_value
 
 
 def certify_uniqueness(gamma, y, result: RecoveryResult,
@@ -230,11 +221,13 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
 
     (Fuchs 2004; Zhang, Yin & Cheng 2015).  The verdict is UNIQUE iff the
     rank holds and value < 1 - uniqueness_tol, so uniqueness_tol is a margin
-    on 1 - value.  One LP is solved, none when the rank fails.  A NOT_UNIQUE
-    result carries witness_alt = x* + eps*z, with z the optimal kernel
-    direction (or a null vector of Gamma_S) and eps <= 1 the largest step
-    that flips no sign on S: Gamma w = y and ||w||_1 <= l1_value +
-    eps*(1 - value).
+    on 1 - value.  The complete QR Gamma_S = [Q1 Q2][R1; 0] eliminates
+    z_S = -R1^-1 Q1'Gamma_C z_C: value = _kernel_lp(Q2'Gamma_C,
+    Gamma_C'Q1 R1^-T sigma), one basis pursuit, none when the rank fails.
+    A NOT_UNIQUE result carries witness_alt = x* + eps*z, with z the
+    optimal kernel direction (or a null vector of Gamma_S) and eps <= 1
+    the largest step that flips no sign on S: Gamma w = y and
+    ||w||_1 <= l1_value + eps*(1 - value).
     """
     if not 0.0 <= uniqueness_tol < 1.0:
         raise ValueError("uniqueness_tol must lie in [0, 1)")
@@ -247,16 +240,20 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     k = s_idx.size
 
     g_s = g[:, s_idx]
+    z = np.zeros(n_cols)
     if np.linalg.matrix_rank(g_s) < k:
         null = np.linalg.svd(g_s)[2][-1]
-        z = np.zeros(n_cols)
         z[s_idx] = -null if sigma @ null > 0.0 else null
     else:
-        c = np.zeros(n_cols)
-        c[s_idx] = -sigma
-        value, z = _kernel_lp(g, c, s_idx)
+        q, r = np.linalg.qr(g_s, mode="complete")
+        q1, q2, r1 = q[:, :k], q[:, k:], r[:k]
+        g_c = g[:, ~on_s]
+        value, z_c = _kernel_lp(q2.T @ g_c,
+                                g_c.T @ (q1 @ np.linalg.solve(r1.T, sigma)))
         if value < 1.0 - uniqueness_tol:
             return replace(result, unique=UNIQUE, witness_alt=None)
+        z[~on_s] = z_c
+        z[s_idx] = -np.linalg.solve(r1, q1.T @ (g_c @ z_c))
     shrink = s_idx[sigma * z[s_idx] < 0.0]
     eps = float(np.min(np.abs(x[shrink] / z[shrink]), initial=1.0))
     return replace(result, unique=NOT_UNIQUE, witness_alt=x + eps * z)

@@ -176,6 +176,27 @@ def nsp_worst_value(g, d):
     return best
 
 
+def strict_dual_value(g, s_idx, sigma):
+    """max -sigma'z_S over Gamma z = 0, ||z_C||_1 <= 1, C the columns off
+    s_idx, by one HiGHS LP over (z_S free, z_C+, z_C- >= 0) with a budget
+    row.  With Gamma_S of full column rank, a minimizer with support s_idx
+    and signs sigma is the unique one iff this is below 1."""
+    g = np.asarray(g, float)
+    n_rows, n_cols = g.shape
+    s_idx = np.asarray(s_idx, dtype=int)
+    k = s_idx.size
+    g_s, g_c = g[:, s_idx], np.delete(g, s_idx, axis=1)
+    m = g_c.shape[1]
+    c = np.concatenate([np.asarray(sigma, float), np.zeros(2 * m)])
+    budget = np.concatenate([np.zeros(k), np.ones(2 * m)])[None, :]
+    res = linprog(c, A_ub=budget, b_ub=[1.0],
+                  A_eq=np.hstack([g_s, g_c, -g_c]), b_eq=np.zeros(n_rows),
+                  bounds=[(None, None)] * k + [(0, None)] * (2 * m),
+                  method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
 def gaussian_er1_rate(n_rows, n_cols, draws, seed):
     """(ER(1) held, draws) on numpy-seeded standard Gaussian matrices.
 

@@ -137,6 +137,8 @@ def test_nsp_d2_identity():
     verdict = ct.er_check_nsp(np.eye(6), 2)
     assert verdict.holds and verdict.d == 2
     assert len(verdict.worst_support) == 2
+    # ker I = {0}: every stacked system [I; c'] z = e_last is infeasible
+    assert verdict.worst_value == 0.0
 
 
 def test_nsp_guards():

@@ -268,6 +268,40 @@ def test_uniqueness_agrees_with_er1_oracle():
     assert failing == 5
 
 
+def test_uniqueness_matches_the_strict_dual_oracle():
+    # certify_uniqueness solves the strict-dual LP as basis pursuit on the
+    # system reduced by Gamma_S's QR; HiGHS solves it with z_S free and a
+    # budget row.  Supports of every size 1..m, k = m (no kernel rows) and
+    # S = every column (no z_C, so NoSolutionError, value 0, UNIQUE)
+    gen = np.random.default_rng(15)
+    verdicts = {UNIQUE: 0, NOT_UNIQUE: 0}
+    for t in range(4):
+        g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 14,
+                                       rng.mix_seed(2026, t))).entries
+        cases = [(g, gen.choice(14, k, replace=False))
+                 for k in range(1, 7) for _ in range(3)]
+        cases.append((g[:, :5], np.arange(5)))
+        for mat, s_idx in cases:
+            x = np.zeros(mat.shape[1])
+            x[s_idx] = gen.choice([-1.0, 1.0], s_idx.size) * gen.uniform(
+                0.5, 2.0, s_idx.size)
+            y = mat @ x
+            value = oracles.strict_dual_value(mat, s_idx, np.sign(x[s_idx]))
+            res = certify_uniqueness(mat, y, RecoveryResult(x, np.abs(x).sum()),
+                                     uniqueness_tol=0.0)
+            assert res.unique == (UNIQUE if value < 1.0 else NOT_UNIQUE)
+            if res.unique == NOT_UNIQUE:
+                assert_valid_witness(mat, y, res)
+            verdicts[res.unique] += 1
+    assert min(verdicts.values()) > 0
+    # y = 0: the minimizer is 0, S is empty and the verdict is UNIQUE
+    g = np.random.default_rng(3).standard_normal((4, 9))
+    res = certify_uniqueness(g, np.zeros(4), basis_pursuit(g, np.zeros(4)),
+                             uniqueness_tol=0.0)
+    assert oracles.strict_dual_value(g, [], []) == 0.0
+    assert res.unique == UNIQUE and not res.minimizer.any()
+
+
 def test_uniqueness_solves_one_lp(lp_count, tmp_path, capsys):
     mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20, seed=4))
     y = mat.entries[:, 3].copy()
@@ -275,8 +309,9 @@ def test_uniqueness_solves_one_lp(lp_count, tmp_path, capsys):
     lp_count.clear()
     assert certify_uniqueness(mat, y, res).unique == UNIQUE
     assert len(lp_count) <= 1
-    # at 3 x 2000: one sifting round of basis pursuit, then one strict-dual
-    # LP about 4000 columns wide
+    # at 3 x 2000: one sifting round of basis pursuit, then one round of
+    # the strict-dual LP, itself basis pursuit: neither LP is wider than
+    # the split first working set
     path = str(tmp_path / "m.txt")
     assert cli.run(["sample", "--N", "3", "--n", "2000", "--seed", "5",
                     "--force", "--out", path]) == 0
@@ -286,6 +321,7 @@ def test_uniqueness_solves_one_lp(lp_count, tmp_path, capsys):
                     "--unique"]) == 0
     assert time.perf_counter() - t0 < 5.0
     assert len(lp_count) <= 2
+    assert all(s.x.size <= 2 * rec.SIFT_COLUMNS for s in lp_count)
     assert "unique: " in capsys.readouterr().out
 
 

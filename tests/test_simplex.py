@@ -152,9 +152,9 @@ def test_random_battery_vs_vertex_enumeration():
 def degenerate_lp(gen, kind):
     """A 3x8 LP with finite boxes and full row rank whose columns repeat:
     a duplicate, a negated and a scaled copy of a base column.  kind 0
-    zeroes the right-hand side except a budget row of ones, as in the
-    strict-dual LP; kind 1 puts b at a box vertex, so the optimum can sit
-    on a degenerate basis; kind 2 draws b at random."""
+    zeroes the right-hand side except a budget row of ones, a homogeneous
+    system with one normalizing row; kind 1 puts b at a box vertex, so the
+    optimum can sit on a degenerate basis; kind 2 draws b at random."""
     base = gen.standard_normal((3, 4))
     a = np.column_stack([base, base[:, 0], -base[:, 1], 2.0 * base[:, 2],
                          -base[:, 3]])
@@ -222,11 +222,11 @@ def test_pivot_path_pins(lp_count):
     assert [(s.status, s.iterations, s.phase1_iterations, s.degenerate,
              s.bland) for s in lp_count] == [
         (OPTIMAL, 24, 15, 23, False),   # basis pursuit, 10x40
-        (OPTIMAL, 26, 16, 15, False),   # strict-dual uniqueness LP, 11x40
+        (OPTIMAL, 26, 16, 15, False),   # strict-dual uniqueness LP, 10x38
         (OPTIMAL, 31, 15, 0, False),    # least-l1 representation, 12x126
     ]
     assert [s.objective_value for s in lp_count] == pytest.approx(
-        [1.0, -0.21368640946062925, 1.0716607771960946], abs=1e-12)
+        [1.0, 1 / 0.21368640946062925, 1.0716607771960946], abs=1e-12)
 
 
 def stalled_tie():
