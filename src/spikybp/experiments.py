@@ -170,9 +170,11 @@ def _theorem_a_trial(plan: ParameterPlan, trial: int, seed: int,
                 break
     if CHECK_L0 in checks:
         y = mat.entries[:, 0].copy()
-        # every column parallel to column 1 is a size-1 solution too
-        sols = recovery.l0_brute_force(mat, y, 1)
-        record.l0_unique = len(sols) == 1 and sols[0].support == (0,)
+        # every column parallel to column 1 is a size-1 solution too; these
+        # are the supports of l0_brute_force(mat, y, 1), without building
+        # the thousands of SparseVectors it returns at N = 3
+        hits, _ = recovery._size_one_hits(mat.entries, y)
+        record.l0_unique = hits.tolist() == [0]
     if CHECK_PHI2 in checks:
         record.phi2 = certify.compatibility_constant(mat, (0,), 1.0).phi2
     return record

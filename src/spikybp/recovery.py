@@ -6,7 +6,9 @@ Marsten & Shanno 1992): the simplex solves the LP on a working set of at
 first SIFT_COLUMNS columns, one product Gamma'y prices every column per
 round, and the loop stops when the full LP's dual check ||Gamma'y||_inf
 <= 1 + simplex._DUAL_TOL holds.  Up to SIFT_COLUMNS columns the first
-round is the whole LP.  Uniqueness of its minimizer is decided exactly by
+round is the whole LP.  The first round starts from a crash basis (a
+pivoted QR of the working set), each later one from the last round's
+basis, so phase 1 runs only on a rank-deficient working set.  Uniqueness of its minimizer is decided exactly by
 one strict-dual LP on the minimizer's support and signs, reduced to the
 kernel LP max {c'z : A z = 0, ||z||_1 <= 1} (_kernel_lp) that the ER(2)
 verdict in certify also solves, as basis pursuit on [A; c'] z = e_last
@@ -143,6 +145,31 @@ def _system(gamma, y) -> tuple[np.ndarray, np.ndarray]:
     return g, y
 
 
+def _crash_basis(g_w: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """A feasible start basis for the split LP over [Gamma_W, -Gamma_W].
+
+    B is the first m columns of a QR of Gamma_W with column pivoting
+    (LAPACK dgeqp3), and each enters as t+ or t- by the sign of its
+    coefficient in B^-1 y, so every basic value is >= 0.  dgesv solves
+    with the same LU arithmetic as the simplex, whose own B^-1 y therefore
+    has the same magnitudes.  None when the pivoted R shows rank below m
+    (|R_mm| <= max(m, |W|) * eps * |R_11|, numpy.linalg.matrix_rank's
+    tolerance): phase 1 then starts from the artificials.
+    """
+    n_rows, width = g_w.shape
+    if width < n_rows:
+        return None
+    qr, jpvt, _, _, info = simplex._LAPACK.dgeqp3(g_w)
+    r = np.abs(np.diag(qr))
+    if info != 0 or r[-1] <= r[0] * max(n_rows, width) * np.finfo(np.float64).eps:
+        return None
+    cols = jpvt[:n_rows].astype(np.intp) - 1  # dgeqp3 counts from 1
+    _, _, t, info = simplex._LAPACK.dgesv(g_w[:, cols], y)
+    if info != 0:
+        return None
+    return np.where(t >= 0.0, cols, width + cols)
+
+
 def basis_pursuit(gamma, y) -> RecoveryResult:
     """min ||t||_1 s.t. Gamma t = y, by sifting; unique left Unknown.
 
@@ -160,6 +187,13 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
     W starts as every column when there are at most SIFT_COLUMNS, so the
     first round is the whole LP and pricing finds nothing; otherwise as
     the SIFT_COLUMNS columns with the largest |a_j'y|.  W only grows.
+
+    No round starts from the all-artificial basis unless it must.  The
+    first starts from a crash basis (_crash_basis), and runs phase 1 only
+    when Gamma_W has rank below m.  Each later round starts from the last
+    round's final basis: the new columns enter nonbasic at 0, so its basic
+    values, and its feasibility, are unchanged.  After an infeasible round
+    that basis holds artificials, and phase 1 resumes from it.
     """
     g, y = _system(gamma, y)
     n_rows, n_cols = g.shape
@@ -168,10 +202,11 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
     else:
         work = np.sort(np.argpartition(-np.abs(g.T @ y), SIFT_COLUMNS)
                        [:SIFT_COLUMNS])
+    basis = _crash_basis(g[:, work], y)
     while True:
         g_w = g[:, work]
         sol = simplex.solve(simplex.LinearProgram(
-            np.ones(2 * work.size), np.hstack([g_w, -g_w]), y))
+            np.ones(2 * work.size), np.hstack([g_w, -g_w]), y), basis)
         if sol.status == simplex.OPTIMAL:
             price = np.abs(g.T @ sol.dual) - 1.0
         elif sol.status == simplex.INFEASIBLE:
@@ -184,7 +219,12 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
             break
         if add.size > 2 * n_rows:
             add = add[np.argpartition(-price[add], 2 * n_rows)[:2 * n_rows]]
-        work = np.union1d(work, add)
+        grown = np.union1d(work, add)
+        # old index -> new index in the [W, -W | artificials] layout
+        at = np.searchsorted(grown, work)
+        basis = np.concatenate([at, grown.size + at,
+                                2 * grown.size + np.arange(n_rows)])[sol.basis]
+        work = grown
     if sol.status == simplex.INFEASIBLE:
         raise NoSolutionError("y is not in the range of Gamma")
     t = np.zeros(n_cols)
@@ -301,6 +341,21 @@ def _pair_solutions(g, y, norms2, dots, thresh) -> list[SparseVector]:
     return found
 
 
+def _size_one_hits(g, y, res_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(hits, coef): the columns j whose closed-form coefficient coef[j]
+    fits y as l0_brute_force's size 1 does, in index order.  hits is empty
+    when y itself is within the threshold of 0, where the empty support is
+    the only minimal one."""
+    norm_y = float(np.linalg.norm(y))
+    thresh = res_tol * (1.0 + norm_y)
+    norms2 = np.einsum("ij,ij->j", g, g)
+    ok = (norms2 > 0.0) & (norm_y > thresh)
+    coef = np.zeros(g.shape[1])
+    coef[ok] = (g.T @ y)[ok] / norms2[ok]
+    res = np.linalg.norm(y[:, None] - g * coef, axis=0)
+    return np.nonzero(ok & (res <= thresh) & (coef != 0.0))[0], coef
+
+
 def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVector]:
     """All minimal-size supports solving Gamma t = y, by enumeration.
 
@@ -338,20 +393,15 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
     thresh = res_tol * (1.0 + norm_y)
     if norm_y <= thresh:
         return [SparseVector(n_cols, (), ())]
-    dots = g.T @ y
-    norms2 = np.einsum("ij,ij->j", g, g)
     found: list[SparseVector] = []
     for s in range(1, d_max + 1):
         if s == 1:
-            ok = norms2 > 0.0
-            coef = np.zeros(n_cols)
-            coef[ok] = dots[ok] / norms2[ok]
-            res = np.linalg.norm(y[:, None] - g * coef, axis=0)
-            hits = np.nonzero(ok & (res <= thresh) & (coef != 0.0))[0]
+            hits, coef = _size_one_hits(g, y, res_tol)
             found = _solution_list(n_cols, hits[:, None].tolist(),
                                    coef[hits, None].tolist())
         elif s == 2:
-            found = _pair_solutions(g, y, norms2, dots, thresh)
+            found = _pair_solutions(g, y, np.einsum("ij,ij->j", g, g),
+                                    g.T @ y, thresh)
         else:
             if math.comb(n_cols, 3) > L0_TRIPLE_BUDGET:
                 raise ValueError(

@@ -9,6 +9,12 @@ basic values, the duals and the entering column (dgetrs).  m stays tiny, so
 an O(m^3) factorization per pivot is cheap, and there is no update drift to
 manage.  A singular basis raises numpy.linalg.LinAlgError.
 
+Phase 1 starts from the all-artificial basis, unless the caller passes a
+start basis: m column indices whose basic solution is feasible.  The
+artificials not in it then start pinned at 0, so with none of them basic
+phase 1 prices once and makes no pivot.  The solution returns its final
+basis in the same index space, so a caller can start a related LP from it.
+
 Every column is priced on every pivot, so a pivot costs O(m k).  Basis
 pursuit over 10^4 columns therefore does not hand this solver the whole
 LP: recovery.basis_pursuit sifts, solving on a working set of columns and
@@ -42,12 +48,13 @@ _DEGEN_TOL = 1e-12    # step below this counts as a degenerate pivot
 FEAS_TOL = 1e-9       # phase-1 residual above this*(1 + max|b|): infeasible
 
 
-def _lu_routines():
-    """dgetrf and dgetrs from scipy's f2py LAPACK wrappers, the module that
-    scipy.linalg.lapack re-exports.
+def _flapack():
+    """scipy's f2py LAPACK wrappers, the module that scipy.linalg.lapack
+    re-exports: dgetrf and dgetrs here, dgeqp3 and dgesv for
+    recovery.basis_pursuit's start basis.
 
     Loaded by itself: `import scipy.linalg` runs the package __init__, which
-    costs about 6 MB of resident memory and 50 ms on every start for two
+    costs about 6 MB of resident memory and 50 ms on every start for three
     functions; the wrapper module alone costs about 1 MB and 3 ms.
     """
     where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
@@ -55,10 +62,11 @@ def _lu_routines():
                                                     where)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dgetrf, module.dgetrs
+    return module
 
 
-_getrf, _getrs = _lu_routines()
+_LAPACK = _flapack()
+_getrf, _getrs = _LAPACK.dgetrf, _LAPACK.dgetrs
 
 
 class IterationLimitError(RuntimeError):
@@ -126,7 +134,12 @@ class LpSolution:
     the cost that is 0 on every column.  Then a_j'y <= _DUAL_TOL for every
     column that may still increase, and if every nonbasic column rests at
     0, y'b is the phase-1 residual, so y separates b from the cone of the
-    columns (Farkas)."""
+    columns (Farkas).
+
+    basis holds the m indices of the final basis: j < n_vars is column j
+    of the LP, n_vars + i the artificial of row i, so it may be passed back
+    to solve as a start basis (phase 1 then resumes if an artificial is in
+    it)."""
     status: str
     x: np.ndarray | None
     objective_value: float | None
@@ -136,10 +149,11 @@ class LpSolution:
     phase1_iterations: int = 0
     degenerate: int = 0
     bland: bool = False
+    basis: np.ndarray | None = None
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, basis=None):
         m, k = lp.eq_matrix.shape
         self.m, self.k = m, k
         total = k + m
@@ -176,6 +190,34 @@ class _Simplex:
         self.x = x
         self.status = st
         self.basis = np.arange(k, total)
+        if basis is not None:
+            self._start_from(basis)
+
+    def _start_from(self, basis) -> None:
+        """Make the given m columns the basis; the other artificials leave
+        at 0, as if phase 1 had pivoted them out.  A singular basis, or one
+        whose basic values break their bounds by more than FEAS_TOL*(1 +
+        max|b|), is a caller error: ValueError, before any pivot."""
+        m, k = self.m, self.k
+        basis = np.asarray(basis, dtype=np.intp)
+        if basis.shape != (m,) or np.any((basis < 0) | (basis >= k + m)):
+            raise ValueError(f"start basis must be {m} indices below {k + m}")
+        lu, piv, info = _getrf(self.a[:, basis])
+        if info > 0:
+            raise ValueError("start basis is singular")
+        out = np.setdiff1d(np.arange(k, k + m), basis)
+        self.x[out] = 0.0
+        self.upper[out] = 0.0
+        self.status[out] = _AT_LOWER
+        self.status[basis] = _BASIC
+        xn = self.x.copy()
+        xn[basis] = 0.0
+        xb = _getrs(lu, piv, self.b - self.a @ xn)[0]
+        tol = FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
+        if np.any(xb < self.lower[basis] - tol) or np.any(xb > self.upper[basis] + tol):
+            raise ValueError("start basis is not primal feasible")
+        self.x[basis] = xb
+        self.basis = basis.copy()
 
     def _phase(self, c: np.ndarray, phase1: bool) -> str:
         k = self.k
@@ -263,7 +305,8 @@ class _Simplex:
                   **kw) -> LpSolution:
         return LpSolution(status, x, objective_value, self.iterations,
                           phase1_iterations=self.phase1_iterations,
-                          degenerate=self.degenerate, bland=self.bland, **kw)
+                          degenerate=self.degenerate, bland=self.bland,
+                          basis=self.basis.copy(), **kw)
 
     def run(self) -> LpSolution:
         m, k = self.m, self.k
@@ -287,8 +330,14 @@ class _Simplex:
                               max_violation=max(resid, breach))
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex; Dantzig pricing, Bland's rule after cycling stalls."""
+def solve(lp: LinearProgram, basis=None) -> LpSolution:
+    """Two-phase simplex; Dantzig pricing, Bland's rule after cycling stalls.
+
+    basis, if given, is the start basis: m indices in LpSolution.basis's
+    index space (j < n_vars a column of lp, n_vars + i the artificial of
+    row i).  Nonbasic columns start on their bounds as without one.  Phase
+    1 then pivots only if an artificial is basic.  A singular or infeasible
+    start basis raises ValueError."""
     if lp.n_rows < 1:
         raise ValueError("need at least one equality row")
-    return _Simplex(lp).run()
+    return _Simplex(lp, basis).run()

@@ -181,6 +181,23 @@ def test_sifted_ties_give_the_dense_value():
         assert np.count_nonzero(res.minimizer) <= n_rows
 
 
+def test_warm_started_rounds_settle_a_planted_tie(lp_count):
+    # the 24 x 10^4 tie of test_sifted_ties_give_the_dense_value: every
+    # round restarted from the artificials took 22 rounds and 33,359 pivots;
+    # a crash basis and warm-started rounds take 9 rounds and 2,696
+    plan = plan_parameters(24, 10_000)
+    spec = EnsembleSpec(ScalarLaw.spiky(plan.delta, 4.0), 24, 10_000,
+                        rng.mix_seed(7, 5))
+    g = sample_matrix(spec).entries
+    g[:, 4000] = g[:, 0]
+    g[:, 7000] = -g[:, 0]
+    res = basis_pursuit(g[:, 1:], g[:, 0])
+    assert res.l1_value == pytest.approx(1.0, abs=1e-9)
+    assert len(lp_count) <= 12
+    assert sum(s.iterations for s in lp_count) <= 4000
+    assert all(s.phase1_iterations == 0 for s in lp_count)
+
+
 def test_sifting_prices_out_of_an_infeasible_working_set(lp_count):
     # the first working set holds the 256 largest of 300 multiples of
     # (1, 1), which cannot make y = (1, 0); only column 300 = (0, 1), with
@@ -190,7 +207,10 @@ def test_sifting_prices_out_of_an_infeasible_working_set(lp_count):
     g = np.column_stack([np.outer([1.0, 1.0], scale), [0.0, 1.0]])
     y = np.array([1.0, 0.0])
     res = basis_pursuit(g, y)
+    # rank 1 < m: no crash basis, so the first round runs phase 1 from
+    # the artificials, and the next resumes it from that round's basis
     assert lp_count[0].status == simplex.INFEASIBLE
+    assert lp_count[0].phase1_iterations > 0
     assert lp_count[-1].status == simplex.OPTIMAL
     assert res.l1_value == pytest.approx(1.0 + 1.0 / scale[-1], abs=1e-12)
     assert res.l1_value == pytest.approx(highs_bp_value(g, y), abs=1e-9)

@@ -210,6 +210,57 @@ def test_singular_basis_raises():
     assert np.array_equal(run.x, x) and run.iterations == 0
 
 
+def split_lp(a, b):
+    """min sum(t+ + t-) s.t. [A, -A] (t+, t-) = b, t+- >= 0: basis pursuit."""
+    return LinearProgram(np.ones(2 * a.shape[1]), np.hstack([a, -a]), b)
+
+
+def test_start_basis_skips_phase1():
+    # any m independent columns, each entered on the side of its
+    # coefficient's sign, are a feasible start: the value is the one from
+    # the artificials, with no phase-1 pivot, and restarting from the
+    # final basis makes no pivot at all
+    gen = np.random.default_rng(2024)
+    for i in range(40):
+        m = 1 + i % 8
+        a = gen.standard_normal((m, m + gen.integers(0, 3 * m + 1)))
+        b = a[:, :2] @ gen.standard_normal(2) if i % 2 else gen.standard_normal(m)
+        cols = gen.permutation(a.shape[1])[:m]
+        t = np.linalg.solve(a[:, cols], b)
+        basis = np.where(t >= 0.0, cols, a.shape[1] + cols)
+        lp = split_lp(a, b)
+        cold = solve(lp)
+        warm = solve(lp, basis)
+        assert warm.status == cold.status == OPTIMAL, f"case {i}"
+        assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                     abs=1e-9), f"case {i}"
+        assert warm.phase1_iterations == 0, f"case {i}"
+        check_solution_invariants(lp, warm)
+        again = solve(lp, warm.basis)
+        assert again.iterations == 0
+        assert again.objective_value == pytest.approx(warm.objective_value,
+                                                      abs=1e-12)
+
+
+def test_start_basis_must_be_nonsingular():
+    a = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    lp = split_lp(a, np.array([1.0, 1.0]))
+    for basis in ([0, 0], [0, 1], [0, 3], [0, 6], [1, 5, 2], [2, -1]):
+        with pytest.raises(ValueError):
+            solve(lp, basis)
+
+
+def test_start_basis_must_be_feasible():
+    # column 0 enters as t+ with coefficient -1 in B^-1 b: t+ = -1 < 0
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    lp = split_lp(a, np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="feasible"):
+        solve(lp, [0, 1])
+    sol = solve(lp, [3, 1])  # the same columns with t- for column 0
+    assert sol.phase1_iterations == 0
+    assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
+
+
 def test_pivot_path_pins(lp_count):
     # (iterations, phase1_iterations, degenerate, bland) of three fixed
     # LPs at the benchmark's shapes; a kernel change that moves the pivot
@@ -221,9 +272,9 @@ def test_pivot_path_pins(lp_count):
     recovery.basis_pursuit(h[:, 1:], h[:, 0])
     assert [(s.status, s.iterations, s.phase1_iterations, s.degenerate,
              s.bland) for s in lp_count] == [
-        (OPTIMAL, 24, 15, 23, False),   # basis pursuit, 10x40
-        (OPTIMAL, 26, 16, 15, False),   # strict-dual uniqueness LP, 10x38
-        (OPTIMAL, 31, 15, 0, False),    # least-l1 representation, 12x126
+        (OPTIMAL, 5, 0, 5, False),      # basis pursuit, 10x40
+        (OPTIMAL, 8, 0, 0, False),      # strict-dual uniqueness LP, 10x38
+        (OPTIMAL, 16, 0, 0, False),     # least-l1 representation, 12x126
     ]
     assert [s.objective_value for s in lp_count] == pytest.approx(
         [1.0, 1 / 0.21368640946062925, 1.0716607771960946], abs=1e-12)
