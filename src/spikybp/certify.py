@@ -243,45 +243,80 @@ def width_bound_check(vectors, big_r: float) -> tuple[float, float, bool]:
     return bound, inradius, inradius >= bound - 1e-9
 
 
-def _afw_min(a_s: np.ndarray, a_c: np.ndarray, sigma: np.ndarray,
+def _column_classes(a: np.ndarray) -> np.ndarray:
+    """The first column of each class of bitwise-equal columns of a, in
+    increasing order, so classes are numbered by their first column.
+
+    A lone class of two or more columns is left split into its columns:
+    numpy computes a one-column matrix-vector product with another kernel,
+    whose bits can differ from the ones a column gets inside a wider one.
+    """
+    n = a.shape[1]
+    if n < 2:
+        return np.arange(n)
+    keys = a.view(np.int64)  # equal bits, not equal values: 0.0 != -0.0
+    order = np.lexsort(keys[::-1])  # stable, so each run starts at its first
+    run = np.take(keys, order, axis=1)
+    new = np.ones(n, dtype=bool)
+    new[1:] = (run[:, 1:] != run[:, :-1]).any(axis=0)
+    first = np.sort(order[new])
+    return first if first.size > 1 else np.arange(n)
+
+
+def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,
              l_budget: float, gap_tol: float):
-    """Minimize ||A_s b_s - A_c b_c||^2 over the signed simplex x L*B1 product.
+    """Minimize ||A_s b_s - A_u b_u||^2 over the signed simplex x L*B1 product.
 
     Away-step Frank-Wolfe with exact line search; iterates are convex
-    combinations of product vertices (sigma_i e_i, +-L e_j).
+    combinations of product vertices (sigma_i e_i, +-L e_u).  The columns
+    of a_u are the distinct columns of A_c (compatibility_constant), in
+    order of their first column, and a vertex on one stands for a vertex
+    on that first column.  argmax over |grad_u| returns the first class at
+    the maximum, whose first column is the smallest column at it, which
+    is argmax over every column of A_c.  So the iterates are bit for bit
+    those of a run over every column, at a few dozen columns per iteration
+    instead of 10^4 on a theorem-a matrix, as long as BLAS gives each
+    column's product the same bits wherever the column sits in the matrix.
+    OpenBLAS 0.3.31 (numpy 2.4, Haswell kernels) does for up to 7 rows.
+    From 8 rows on it can round a product differently by position, and
+    the run, still a Frank-Wolfe run, can then end a few bits away from
+    the run over every column.
     """
-    n_s, n_c = a_s.shape[1], a_c.shape[1]
+    n_s, n_u = a_s.shape[1], a_u.shape[1]
     cap = 100000
+    sig = sigma.tolist()
 
     def vertex_col(key):
-        i, j, sj = key
+        i, u, su = key
         out = sigma[i] * a_s[:, i]
-        if j >= 0:
-            out = out - sj * l_budget * a_c[:, j]
+        if u >= 0:
+            out = out - su * l_budget * a_u[:, u]
         return out
 
-    key0 = (0, 0, 1.0) if n_c else (0, -1, 0.0)
+    key0 = (0, 0, 1.0) if n_u else (0, -1, 0.0)
     cols = {key0: vertex_col(key0)}
     active = {key0: 1.0}
     r = cols[key0].copy()
     iters = 0
     while True:
-        grad_s = 2.0 * (a_s.T @ r)
-        grad_c = -2.0 * (a_c.T @ r) if n_c else None
-        i_fw = int(np.argmin(sigma * grad_s))
-        phi_fw = float(sigma[i_fw] * grad_s[i_fw])
-        if n_c:
-            j_fw = int(np.argmax(np.abs(grad_c)))
-            sj_fw = -1.0 if grad_c[j_fw] > 0.0 else 1.0
-            phi_fw += sj_fw * l_budget * float(grad_c[j_fw])
-            fw_key = (i_fw, j_fw, sj_fw)
+        grad_s = (2.0 * (a_s.T @ r)).tolist()
+        phi_s = [sg * gs for sg, gs in zip(sig, grad_s)]
+        i_fw = phi_s.index(min(phi_s))
+        phi_fw = phi_s[i_fw]
+        if n_u:
+            grad = -2.0 * (a_u.T @ r)
+            u_fw = int(np.argmax(np.abs(grad)))
+            grad_u = grad.tolist()
+            su_fw = -1.0 if grad_u[u_fw] > 0.0 else 1.0
+            phi_fw += su_fw * l_budget * grad_u[u_fw]
+            fw_key = (i_fw, u_fw, su_fw)
         else:
             fw_key = (i_fw, -1, 0.0)
         phi_at = {}
         for k in active:
-            val = float(sigma[k[0]] * grad_s[k[0]])
+            val = phi_s[k[0]]
             if k[1] >= 0:
-                val += k[2] * l_budget * float(grad_c[k[1]])
+                val += k[2] * l_budget * grad_u[k[1]]
             phi_at[k] = val
         phi_beta = sum(active[k] * phi_at[k] for k in active)
         gap = phi_beta - phi_fw
@@ -331,18 +366,24 @@ def _afw_min(a_s: np.ndarray, a_c: np.ndarray, sigma: np.ndarray,
         iters += 1
 
     beta_s = np.zeros(n_s)
-    beta_c = np.zeros(n_c)
-    for (i, j, sj), wt in active.items():
+    beta_u = np.zeros(n_u)
+    for (i, u, su), wt in active.items():
         beta_s[i] += wt * sigma[i]
-        if j >= 0:
-            beta_c[j] += wt * sj * l_budget
-    return float(r @ r), beta_s, beta_c, iters
+        if u >= 0:
+            beta_u[u] += wt * su * l_budget
+    return float(r @ r), beta_s, beta_u, iters
 
 
 def compatibility_constant(gamma, s_set, l_budget: float,
                            gap_tol: float = 1e-7) -> CompatibilityValue:
     """phi2(L, S) = |S| * min ||Gamma b_S - Gamma b_{S^c}||_2^2 over
-    ||b_S||_1 = 1, ||b_{S^c}||_1 <= L, minimized per sign pattern of b_S."""
+    ||b_S||_1 = 1, ||b_{S^c}||_1 <= L, minimized per sign pattern of b_S.
+
+    Frank-Wolfe runs over the distinct off-support columns, found once and
+    shared by both sign patterns (_column_classes), and the minimizer puts
+    each class's weight on its first column.  At N = 3 the 10^4 columns of
+    a theorem-a matrix hold a few dozen distinct ones (see _afw_min).
+    """
     g = _entries(gamma)
     n_rows, n_cols = g.shape
     s = tuple(sorted(int(i) for i in s_set))
@@ -359,15 +400,19 @@ def compatibility_constant(gamma, s_set, l_budget: float,
     comp = np.nonzero(~in_s)[0]
     a_s = g[:, list(s)]
     a_c = g[:, comp]
+    first = _column_classes(a_c)
+    a_u = g[:, comp[first]]  # gathered like a_c, so products keep their bits
     best = None
     total_iters = 0
     for sigma in itertools.product((1.0, -1.0), repeat=len(s)):
-        f, beta_s, beta_c, iters = _afw_min(a_s, a_c, np.array(sigma),
+        f, beta_s, beta_u, iters = _afw_min(a_s, a_u, np.array(sigma),
                                             float(l_budget), gap_tol)
         total_iters += iters
         if best is None or f < best[0]:
-            best = (f, beta_s, beta_c)
-    _, beta_s, beta_c = best
+            best = (f, beta_s, beta_u)
+    _, beta_s, beta_u = best
+    beta_c = np.zeros(comp.size)
+    beta_c[first] = beta_u
     beta = np.zeros(n_cols)
     beta[list(s)] = beta_s
     if comp.size:

@@ -12,6 +12,7 @@ import csv
 import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,11 +233,38 @@ def _aggregate(records: list[TrialRecord], checks) -> dict[str, CheckStats]:
     return out
 
 
+# the live trial pool, under (factory, worker count); at most one entry
+_POOLS: dict = {}
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The cached pool of `workers` trial workers, built on first use.
+
+    A pool of another size is shut down first.  The factory is looked up
+    when called, and is part of the key, so a pool made by a stand-in for
+    ProcessPoolExecutor is never handed out after the stand-in is gone.
+    concurrent.futures joins the workers at interpreter exit.
+    """
+    key = (ProcessPoolExecutor, workers)
+    pool = _POOLS.get(key)
+    if pool is None:
+        for old in _POOLS.values():
+            old.shutdown()
+        _POOLS.clear()
+        pool = _POOLS[key] = ProcessPoolExecutor(
+            max_workers=workers, initializer=_single_blas_thread)
+    return pool
+
+
 def run_cell(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     """One sweep cell: every requested per-trial check on seeded matrices.
 
     threads > 1 runs the trials on min(threads, trials) worker processes,
     each with single-threaded BLAS; the records do not depend on threads.
+    The workers outlive the cell: the next cell with the same worker count
+    reuses them, so a sweep forks once, not once per cell.  They run the
+    package as it was when the pool was built.  A pool that breaks (a
+    worker died) raises BrokenProcessPool and is replaced by the next cell.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -246,9 +274,13 @@ def run_cell(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     workers = min(threads, config.trials)
     if workers > 1:
         chunk = max(1, config.trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_single_blas_thread) as pool:
+        pool = _worker_pool(workers)
+        try:
             records = list(pool.map(_trial_worker, args, chunksize=chunk))
+        except BrokenProcessPool:
+            _POOLS.clear()
+            pool.shutdown()
+            raise
     else:
         records = [_trial_worker(a) for a in args]
     return TrialStats(_aggregate(records, config.checks), records, plan)

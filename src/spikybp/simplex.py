@@ -12,8 +12,9 @@ manage.  A singular basis raises numpy.linalg.LinAlgError.
 Phase 1 starts from the all-artificial basis, unless the caller passes a
 start basis: m column indices whose basic solution is feasible.  The
 artificials not in it then start pinned at 0, so with none of them basic
-phase 1 prices once and makes no pivot.  The solution returns its final
-basis in the same index space, so a caller can start a related LP from it.
+there is nothing for phase 1 to do and phase 2 starts at once.  The
+solution returns its final basis in the same index space, so a caller can
+start a related LP from it.
 
 Every column is priced on every pivot, so a pivot costs O(m k).  Basis
 pursuit over 10^4 columns therefore does not hand this solver the whole
@@ -310,12 +311,13 @@ class _Simplex:
 
     def run(self) -> LpSolution:
         m, k = self.m, self.k
-        c1 = np.concatenate([np.zeros(k), np.ones(m)])
-        self._phase(c1, phase1=True)
-        self.phase1_iterations = self.iterations
-        infeas = float(self.x[k:].sum())
-        if infeas > FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)):
-            return self._solution(INFEASIBLE, dual=self.y)
+        if np.any(self.basis >= k):  # phase 1 while an artificial is basic
+            c1 = np.concatenate([np.zeros(k), np.ones(m)])
+            self._phase(c1, phase1=True)
+            self.phase1_iterations = self.iterations
+            infeas = float(self.x[k:].sum())
+            if infeas > FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)):
+                return self._solution(INFEASIBLE, dual=self.y)
 
         self.upper[k:] = 0.0  # artificials pinned for phase 2
         c2 = np.concatenate([self.c_orig, np.zeros(m)])
@@ -336,7 +338,7 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     basis, if given, is the start basis: m indices in LpSolution.basis's
     index space (j < n_vars a column of lp, n_vars + i the artificial of
     row i).  Nonbasic columns start on their bounds as without one.  Phase
-    1 then pivots only if an artificial is basic.  A singular or infeasible
+    1 then runs only if an artificial is basic.  A singular or infeasible
     start basis raises ValueError."""
     if lp.n_rows < 1:
         raise ValueError("need at least one equality row")

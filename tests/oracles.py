@@ -3,8 +3,9 @@
 Nothing in here imports the package under test.  Moments go through mpmath
 at 50 digits, linear programs through brute-force vertex enumeration,
 probabilities through numpy.random Monte Carlo, the compatibility
-minimum through a dense grid plus an SLSQP polish, and l0 pairs through
-one dense solve per pair.  Slow is fine.
+minimum through a dense grid plus an SLSQP polish (and, bit for bit,
+through Frank-Wolfe over every column), and l0 pairs through one dense
+solve per pair.  Slow is fine.
 """
 
 import itertools
@@ -277,6 +278,122 @@ def compat_oracle(g, s_idx, sigma_vals, l_budget, grid=241):
     # each coordinate at most h/2
     bound = lip * (h / 2.0) * math.sqrt(len(comp))
     return best_grid, best_slsqp, bound
+
+
+def afw_min_every_column(a_s, a_c, sigma, l_budget, gap_tol):
+    """Away-step Frank-Wolfe for min ||A_s b_s - A_c b_c||^2 over the
+    signed simplex x L*B1, pricing every column of A_c on every iteration:
+    the package's solver before it ran over distinct columns.  Returns
+    (f, beta_s, beta_c, iterations)."""
+    n_s, n_c = a_s.shape[1], a_c.shape[1]
+    cap = 100000
+
+    def vertex_col(key):
+        i, j, sj = key
+        out = sigma[i] * a_s[:, i]
+        if j >= 0:
+            out = out - sj * l_budget * a_c[:, j]
+        return out
+
+    key0 = (0, 0, 1.0) if n_c else (0, -1, 0.0)
+    cols = {key0: vertex_col(key0)}
+    active = {key0: 1.0}
+    r = cols[key0].copy()
+    iters = 0
+    while True:
+        grad_s = 2.0 * (a_s.T @ r)
+        grad_c = -2.0 * (a_c.T @ r) if n_c else None
+        i_fw = int(np.argmin(sigma * grad_s))
+        phi_fw = float(sigma[i_fw] * grad_s[i_fw])
+        if n_c:
+            j_fw = int(np.argmax(np.abs(grad_c)))
+            sj_fw = -1.0 if grad_c[j_fw] > 0.0 else 1.0
+            phi_fw += sj_fw * l_budget * float(grad_c[j_fw])
+            fw_key = (i_fw, j_fw, sj_fw)
+        else:
+            fw_key = (i_fw, -1, 0.0)
+        phi_at = {}
+        for k in active:
+            val = float(sigma[k[0]] * grad_s[k[0]])
+            if k[1] >= 0:
+                val += k[2] * l_budget * float(grad_c[k[1]])
+            phi_at[k] = val
+        phi_beta = sum(active[k] * phi_at[k] for k in active)
+        gap = phi_beta - phi_fw
+        if gap <= gap_tol:
+            break
+        if iters >= cap:
+            raise RuntimeError(f"no convergence in {cap} iterations")
+        away_key = max(active, key=lambda k: (phi_at[k], k))
+        gap_away = phi_at[away_key] - phi_beta
+        if gap >= gap_away:
+            target = cols.get(fw_key)
+            if target is None:
+                target = vertex_col(fw_key)
+            d_img = target - r
+            step_max = 1.0
+            away = False
+        else:
+            d_img = r - cols[away_key]
+            alpha = active[away_key]
+            step_max = alpha / (1.0 - alpha)
+            away = True
+        den = float(d_img @ d_img)
+        if den <= 1e-300:
+            step = step_max
+        else:
+            step = min(max(-float(r @ d_img) / den, 0.0), step_max)
+        if away:
+            for k in list(active):
+                active[k] *= 1.0 + step
+            active[away_key] -= step
+        else:
+            for k in list(active):
+                active[k] *= 1.0 - step
+            active[fw_key] = active.get(fw_key, 0.0) + step
+            cols.setdefault(fw_key, target)
+        for k in list(active):
+            if active[k] <= 1e-14:
+                del active[k]
+        total = sum(active.values())
+        for k in active:
+            active[k] /= total
+        r = np.zeros(a_s.shape[0])
+        for k, wt in active.items():
+            r += wt * cols[k]
+        iters += 1
+
+    beta_s = np.zeros(n_s)
+    beta_c = np.zeros(n_c)
+    for (i, j, sj), wt in active.items():
+        beta_s[i] += wt * sigma[i]
+        if j >= 0:
+            beta_c[j] += wt * sj * l_budget
+    return float(r @ r), beta_s, beta_c, iters
+
+
+def compat_every_column(g, s, l_budget, gap_tol=1e-7):
+    """(phi2, minimizer beta, iterations) of the compatibility constant by
+    afw_min_every_column, both sign patterns, as the package computed it
+    before it ran Frank-Wolfe over distinct columns."""
+    g = np.asarray(g, float)
+    s = sorted(s)
+    comp = np.nonzero(~np.isin(np.arange(g.shape[1]), s))[0]
+    a_s, a_c = g[:, s], g[:, comp]
+    best, total_iters = None, 0
+    for sigma in itertools.product((1.0, -1.0), repeat=len(s)):
+        f, beta_s, beta_c, iters = afw_min_every_column(
+            a_s, a_c, np.array(sigma), float(l_budget), gap_tol)
+        total_iters += iters
+        if best is None or f < best[0]:
+            best = (f, beta_s, beta_c)
+    _, beta_s, beta_c = best
+    beta = np.zeros(g.shape[1])
+    beta[s] = beta_s
+    if comp.size:
+        beta[comp] = beta_c
+    resid = a_s @ beta_s - (a_c @ beta_c if comp.size else 0.0)
+    return len(s) * float(resid @ resid), beta, total_iters
 
 
 # ------------------------------------------------------------ simulation

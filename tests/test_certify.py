@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spikybp import certify as ct, rng
-from spikybp.ensemble import EnsembleSpec, ScalarLaw, sample_matrix
+from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
+                              sample_matrix)
 from spikybp.recovery import SparseVector, basis_pursuit, certify_uniqueness
 
 import oracles
@@ -391,6 +392,52 @@ def test_compat_matches_grid_and_slsqp_oracles():
             best = min(grid_min, slsqp_min)
             assert mine <= best + 1e-6
             assert mine >= best - grid_err - 1e-6
+
+
+def same_as_every_column(g, s, l_budget=1.0):
+    """compatibility_constant against Frank-Wolfe over every column
+    (oracles.compat_every_column): the same bits, iterations and minimizer."""
+    value = ct.compatibility_constant(g, s, l_budget)
+    phi2, beta, iters = oracles.compat_every_column(g, s, l_budget)
+    assert value.phi2.hex() == phi2.hex()
+    assert value.iterations == iters
+    assert value.minimizer_beta.tobytes() == beta.tobytes()
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+def test_compat_over_distinct_columns_is_bitwise_the_same(seed):
+    law = plan_parameters(3, 10**4).law()
+    for t in range(10):
+        g = sample_matrix(EnsembleSpec(law, 3, 10**4,
+                                       rng.mix_seed(seed, t))).entries
+        # a few dozen classes stand for the 9,999 off-support columns
+        assert ct._column_classes(g[:, 1:]).size < 100
+        same_as_every_column(g, (0,))
+    same_as_every_column(g, (0, 1))
+
+
+def test_compat_distinct_columns_small_cases():
+    gen = np.random.default_rng(8)
+    g = gen.standard_normal((3, 64))  # every class a single column
+    assert ct._column_classes(g).size == 64
+    for s, l_budget in (((0,), 1.0), ((17,), 1.7), ((3, 40), 1.0)):
+        same_as_every_column(g, s, l_budget)
+    for j in range(3):  # at j = 2 the off-support columns form one class
+        same_as_every_column(DUP, (j,))
+    tiled = gen.standard_normal((3, 6))[:, gen.integers(0, 6, 40)]
+    same_as_every_column(tiled, (0, 5))
+
+
+def test_compat_tie_goes_to_the_smallest_column():
+    # at iteration 0 r = a_0 - a_1 = e_1, so columns b, a and c (in index
+    # order; c, a, b in sorted order) tie at |grad| = 6: the first vertex
+    # must be the first column of b's class, as over every column
+    b, a, c = (3.0, 0.5, -0.2), (3.0, -0.7, 0.4), (-3.0, 0.1, 0.9)
+    g = np.array([(2.0, 1.0, 1.0), (1.0, 1.0, 1.0), b, a, b, c, a]).T
+    grad = np.abs(g[:, 1:].T @ (g[:, 0] - g[:, 1]))
+    assert np.count_nonzero(grad == grad.max()) == 5
+    assert ct._column_classes(g[:, 1:]).tolist() == [0, 1, 2, 4]
+    same_as_every_column(g, (0,))
 
 
 def test_compat_guards():

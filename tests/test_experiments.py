@@ -1,7 +1,12 @@
 import csv
 import ctypes
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,27 +154,37 @@ def test_run_cell_deterministic_and_parallel_equal(tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments and runs
-    the map in this process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: records its arguments and
+    shutdowns and runs the map in this process, so no worker is started."""
 
     def __init__(self, calls, **kwargs):
-        calls.append(kwargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+        self.kwargs = kwargs
+        self.shut = False
+        calls.append(self)
 
     def map(self, fn, items, chunksize=1):
         return map(fn, items)
 
+    def shutdown(self, wait=True):
+        self.shut = True
+
 
 def _record_pools(monkeypatch):
     calls = []
+    monkeypatch.setattr(ex, "_POOLS", {})
     monkeypatch.setattr(ex, "ProcessPoolExecutor",
                         lambda **kw: _RecordingPool(calls, **kw))
     return calls
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """A pool cache of the test's own; its pool is shut down at teardown."""
+    cache = {}
+    monkeypatch.setattr(ex, "_POOLS", cache)
+    yield cache
+    for pool in cache.values():
+        pool.shutdown()
 
 
 def test_run_cell_threads_bounds(monkeypatch):
@@ -181,10 +196,63 @@ def test_run_cell_threads_bounds(monkeypatch):
     run_cell(cfg, threads=1)
     assert calls == []
     run_cell(cfg, threads=10**6)
-    assert [c["max_workers"] for c in calls] == [3]
-    assert calls[0]["initializer"] is ex._single_blas_thread
+    assert [c.kwargs["max_workers"] for c in calls] == [3]
+    assert calls[0].kwargs["initializer"] is ex._single_blas_thread
     run_cell(replace(cfg, trials=1), threads=4)  # one trial: no pool
-    assert len(calls) == 1
+    run_cell(cfg, threads=3)  # the same worker count: the same pool
+    assert len(calls) == 1 and not calls[0].shut
+    run_cell(cfg, threads=2)  # another count replaces it
+    assert [c.kwargs["max_workers"] for c in calls] == [3, 2]
+    assert calls[0].shut and not calls[1].shut
+
+
+def test_cells_reuse_warm_workers(pools):
+    cfg = small_config(trials=3, seed=11, checks={"clean_col"})
+    first = run_cell(cfg, threads=2)
+    pool = pools[(ProcessPoolExecutor, 2)]
+    workers = list(pool._processes.values())
+    assert len(workers) == 2
+    second = run_cell(cfg, threads=2)
+    assert pools == {(ProcessPoolExecutor, 2): pool}
+    assert list(pool._processes.values()) == workers
+    assert second.records == first.records
+    run_cell(cfg, threads=3)
+    assert list(pools) == [(ProcessPoolExecutor, 3)]
+    for proc in workers:  # shut down, joined and reaped
+        assert proc.exitcode is not None
+
+
+def test_broken_pool_is_replaced(pools):
+    cfg = small_config(trials=2, seed=11, checks={"clean_col"})
+    serial = run_cell(cfg, threads=1)
+    run_cell(cfg, threads=2)
+    pool = pools[(ProcessPoolExecutor, 2)]
+    for proc in pool._processes.values():
+        proc.kill()
+        proc.join(timeout=60)
+    with pytest.raises(BrokenProcessPool):
+        run_cell(cfg, threads=2)
+    assert pools == {}
+    assert run_cell(cfg, threads=2).records == serial.records
+    assert pools[(ProcessPoolExecutor, 2)] is not pool
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_pooled_cell_leaves_no_worker_behind():
+    src = str(Path(ex.__file__).resolve().parents[1])
+    code = ("from concurrent.futures import ProcessPoolExecutor\n"
+            "from spikybp import experiments as ex\n"
+            "cfg = ex.ExperimentConfig(3, 5000, 2, 11, checks={'clean_col'})\n"
+            "ex.run_cell(cfg, threads=2)\n"
+            "print(*ex._POOLS[(ProcessPoolExecutor, 2)]._processes)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(pids) == 2
+    assert [p for p in pids if os.path.exists(f"/proc/{p}")] == []
 
 
 _OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
@@ -205,18 +273,14 @@ def _blas_threads():
     return None
 
 
-def test_pool_workers_run_one_blas_thread(monkeypatch):
+def test_pool_workers_run_one_blas_thread(pools):
     before = _blas_threads()
     if before is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     cfg = small_config(trials=2, seed=11, checks={"clean_col"})
-    with monkeypatch.context() as m:
-        calls = _record_pools(m)
-        run_cell(cfg, threads=2)
-    kwargs = dict(calls[0], max_workers=1)
-    with ProcessPoolExecutor(**kwargs) as pool:
-        assert pool.submit(_blas_threads).result(timeout=60) == 1
     run_cell(cfg, threads=2)
+    pool = pools[(ProcessPoolExecutor, 2)]
+    assert pool.submit(_blas_threads).result(timeout=60) == 1
     assert _blas_threads() == before
 
 
