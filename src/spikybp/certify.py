@@ -9,11 +9,11 @@ The exact ER(d) verdict goes through the null space property: ER(d) holds
 iff for every kernel vector h and every |S| = d, ||h_S||_1 < ||h_{S^c}||_1,
 i.e. iff max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} < 1/2.  For d = 1
 that maximum is 1/(1 + min_j r_j), with r_j the least l1 norm of a
-representation of column j by the others: a projector-based dual lower
-bound on every r_j orders the columns, and basis pursuit solves for r_j
-only until the next bound reaches the least r_j found.  For d = 2 one
-kernel LP per pair and sign pattern, up to h -> -h, gives the maximum;
-each is basis pursuit on [Gamma; c'] (recovery._kernel_lp).
+representation of column j by the others (a kernel vector h with
+h_j = -1 has ||h_{-j}||_1 >= r_j); er1_search also answers the theorem-a
+trial's question, the first j with r_j <= 1.  For d = 2 one kernel LP per
+pair and sign pattern, up to h -> -h, gives the maximum; each is basis
+pursuit on [Gamma; c'] (recovery._kernel_lp).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ STRICT_MARGIN_TOL = 1e-7
 # Most sign vectors width_bound_check enumerates: N <= 17, with two
 # N x 2^(N-1) arrays of about 9 MB each at the limit.
 WIDTH_SIGN_BUDGET = 1 << 16
+PROJECTOR_BLOCK = 1 << 22  # entries of pinv(Gamma) Gamma formed at once
 
 
 @dataclass
@@ -77,8 +78,8 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
     This is basis pursuit on the columns off supp(v), so l1_witness is the
     least l1 norm r of such a representation.  Returns None when
     r > 1 + simplex.FEAS_TOL (so a tie, r = 1, is a certificate) or no such
-    w exists, which is NOT a proof that exact reconstruction holds at v;
-    only er_check_nsp decides positively.
+    w exists.  At a 1-sparse v, None proves v the unique basis-pursuit
+    minimizer; at a wider v it proves nothing, and er_check_nsp decides.
     """
     g = _entries(gamma)
     n_cols = g.shape[1]
@@ -96,8 +97,14 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
         return None
     if result.l1_value > 1.0 + FEAS_TOL:
         return None
-    w = np.zeros(n_cols)
-    w[comp] = result.minimizer
+    return certificate_from(g, v, result)
+
+
+def certificate_from(g, v: SparseVector, result) -> FailureCertificate:
+    """v's certificate from basis pursuit's result on the columns off v."""
+    w = np.zeros(g.shape[1])
+    w[np.delete(np.arange(g.shape[1]), v.support)] = result.minimizer
+    y = g[:, list(v.support)] @ np.array(v.values)
     residual = float(np.abs(g @ w - y).max())
     return FailureCertificate(v, w, residual, result.l1_value)
 
@@ -107,9 +114,9 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
 
     worst_value is max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} over
     |S| = d and signs s, and ER(d) holds iff it is below
-    1/2 - STRICT_MARGIN_TOL.  d = 1 goes through the least-l1
-    representation norms (_er1_worst), so worst_signs is the convention
-    (1,); d = 2 solves one kernel LP per pair and sign pattern up to h -> -h.
+    1/2 - STRICT_MARGIN_TOL.  d = 1 reads 1/(1 + min_j r_j) off er1_search
+    (so it needs min_j r_j > 1/(1/2 - STRICT_MARGIN_TOL) - 1; worst_signs
+    is (1,)); d = 2 solves one kernel LP per pair and sign pattern.
     """
     g = _entries(gamma)
     n_cols = g.shape[1]
@@ -117,12 +124,11 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
         raise ValueError("d must be 1 or 2")
     if n_cols < d:
         raise ValueError("need at least d columns")
-    if d == 1 and n_cols > 4096:
-        raise ValueError("d=1 verdict limited to n <= 4096")
     if d == 2 and n_cols > 256:
         raise ValueError("d=2 verdict limited to n <= 256")
     if d == 1:
-        worst_value, worst_support, worst_signs = _er1_worst(g)
+        j, r, _ = er1_search(g)
+        worst_value, worst_support, worst_signs = 1.0 / (1.0 + r), (j,), (1,)
     else:
         worst_value, worst_support, worst_signs = _er2_worst(g)
     margin = 0.5 - worst_value
@@ -130,43 +136,60 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
                       worst_support, worst_signs, worst_value, margin)
 
 
-def _er1_worst(g: np.ndarray):
-    """(1/(1 + min_j r_j), (j,), (1,)) with r_j the least-l1 norm of a
-    representation of column a_j by the other columns (inf if none).
+def er1_search(gamma, tau: float | None = None):
+    """(j, r_j, result): a column, the least l1 norm r_j of a representation
+    of a_j by the other columns, and basis pursuit's result for it.
 
-    A kernel vector h with h_j = -1 has ||h_{-j}||_1 >= r_j, so
-    max |h_j| / ||h||_1 = 1/(1 + r_j).  Linearly independent columns give
-    r_j = inf for all j and no LP.  Otherwise each r_j has the dual lower
-    bound <y_j, a_j> / max_{i != j} |<y_j, a_i>| for any y_j; with y_j the
-    j-th row of pinv(Gamma), the products are row j of the projector onto
-    the row space.  Basis pursuit then solves for r_j in increasing-bound
-    order until the next bound reaches the least r_j found.
+    tau=None (er_check_nsp) finds the least r_j, solving columns by
+    increasing lower bound until the next bound reaches it; (0, inf, None)
+    if every r_j is inf.  tau = 1 + simplex.FEAS_TOL (the theorem-a trial)
+    finds the first j in index order with r_j <= tau, else (None, inf, None).
     """
+    g = _entries(gamma)
+    best = (0 if tau is None else None, math.inf, None)
+    cols = np.arange(g.shape[1])
+    for j, bound_j in _er1_columns(g, tau):
+        if bound_j >= best[1]:
+            break
+        try:
+            result = recovery.basis_pursuit(g[:, np.delete(cols, j)], g[:, j])
+        except NoSolutionError:
+            continue  # a_j is outside the span of the others
+        if tau is not None and result.l1_value <= tau:
+            return j, result.l1_value, result
+        if tau is None and result.l1_value < best[1]:
+            best = (j, result.l1_value, result)
+    return best
+
+
+def _er1_columns(g: np.ndarray, tau: float | None):
+    """(j, bound_j <= r_j) for the columns er1_search solves, in its order:
+    bound_j = <y_j, a_j> / max_{i != j} |<y_j, a_i>|, y_j row j of
+    pinv(Gamma), from pinv(Gamma) Gamma in blocks of PROJECTOR_BLOCK.  With
+    a tau, column 0 comes before the rank test and the bounds (on theorem-a
+    matrices it almost always fails), then bound_j <= tau in index order."""
     n_rows, n_cols = g.shape
-    best, worst_j = math.inf, 0
-    if np.linalg.matrix_rank(g) < n_cols:
-        y = np.linalg.pinv(g, rcond=max(g.shape) * np.finfo(float).eps)
-        p = y @ g
-        # covers the rounding of each product, so bound_j <= r_j holds
-        # and no denominator is zero unless y_j = 0 (then bound_j = 0)
-        slack = (2.0 * n_rows * np.finfo(float).eps
-                 * np.linalg.norm(y, axis=1)
-                 * np.linalg.norm(g, axis=0).max())
-        top = np.maximum(p.diagonal() - slack, 0.0)
-        np.fill_diagonal(p, 0.0)
-        den = np.abs(p).max(axis=1) + slack
-        bound = np.divide(top, den, out=np.zeros(n_cols), where=den > 0.0)
-        for j in np.argsort(bound, kind="stable"):
-            if bound[j] >= best:
-                break
-            others = np.arange(n_cols) != j
-            try:
-                r = recovery.basis_pursuit(g[:, others], g[:, j]).l1_value
-            except NoSolutionError:
-                continue  # a_j is outside the span of the others
-            if r < best:
-                best, worst_j = r, int(j)
-    return 1.0 / (1.0 + best), (worst_j,), (1,)
+    if tau is not None:
+        yield 0, 0.0
+    if n_cols <= n_rows and np.linalg.matrix_rank(g) == n_cols:
+        return
+    y = np.linalg.pinv(g, rcond=max(g.shape) * np.finfo(float).eps)
+    # covers the rounding of each product, so bound_j <= r_j holds
+    # and no denominator is zero unless y_j = 0 (then bound_j = 0)
+    slack = (2.0 * n_rows * np.finfo(float).eps
+             * np.linalg.norm(y, axis=1)
+             * np.linalg.norm(g, axis=0).max())
+    bound = np.zeros(n_cols)
+    step = max(1, PROJECTOR_BLOCK // n_cols)
+    for lo in range(0, n_cols, step):
+        p = y[lo:lo + step] @ g  # rows lo.. of the projector
+        top = np.maximum(p[:, lo:].diagonal() - slack[lo:lo + step], 0.0)
+        np.fill_diagonal(p[:, lo:], 0.0)
+        den = np.abs(p, out=p).max(axis=1) + slack[lo:lo + step]
+        np.divide(top, den, out=bound[lo:lo + step], where=den > 0.0)
+    order = (np.argsort(bound, kind="stable") if tau is None
+             else np.flatnonzero(bound[1:] <= tau) + 1)
+    yield from zip(order.tolist(), bound[order].tolist())
 
 
 def _er2_worst(g: np.ndarray):

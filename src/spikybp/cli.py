@@ -93,7 +93,7 @@ def _law_from_args(args, shape: tuple[int, int] | None = None):
         return ScalarLaw.spiky(args.delta, args.big_r)
     if shape is None:
         raise ValueError("spiky law needs --delta and --R")
-    plan = _exp.check_plan(plan_parameters(*shape, args.c_lo, args.c_4),
+    plan = _exp.check_plan(plan_parameters(*shape, args.c_lo),
                            args.force)
     if not plan.feasible:
         _warn_infeasible(plan)
@@ -119,7 +119,7 @@ def _print_cell(cell_id: int, config, stats) -> None:
 
 
 def cmd_plan(args) -> int:
-    plan = plan_parameters(args.n_rows, args.n_cols, args.c_lo, args.c_4)
+    plan = plan_parameters(args.n_rows, args.n_cols, args.c_lo)
     print(f"N = {plan.n_rows}  n = {plan.n_cols}")
     print(f"delta = {plan.delta!r}")
     print(f"p = {plan.p!r}")
@@ -254,7 +254,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("every sweep list must be nonempty")
     checks = args.checks or _exp.DEFAULT_CHECKS
     configs = [_exp.ExperimentConfig(n_rows, n_cols, trials, args.seed,
-                                     checks=checks, c_lo=c_lo, c_4=args.c_4,
+                                     checks=checks, c_lo=c_lo,
                                      force=args.force)
                for n_rows, n_cols, c_lo, trials in itertools.product(*lists)]
     return _run_cells(configs, args)
@@ -269,7 +269,7 @@ def cmd_theorem_a(args) -> int:
         args.n_rows, args.n_cols, args.trials, args.seed,
         checks=args.checks or _exp.DEFAULT_CHECKS,
         planner_overrides=overrides if given else None,
-        c_lo=args.c_lo, c_4=args.c_4, force=args.force)
+        c_lo=args.c_lo, force=args.force)
     return _run_cells([config], args)
 
 
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", dest="n_rows", type=int, required=True)
     sp.add_argument("--n", dest="n_cols", type=int, required=True)
     sp.add_argument("--c-lo", dest="c_lo", type=float, default=3.0)
-    sp.add_argument("--c4", dest="c_4", type=float, default=2.0)
     sp.set_defaults(func=cmd_plan)
 
     sp = sub.add_parser("sample", help="draw one seeded matrix to a file")
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float)
     sp.add_argument("--R", dest="big_r", type=float)
     sp.add_argument("--c-lo", dest="c_lo", type=float, default=3.0)
-    sp.add_argument("--c4", dest="c_4", type=float, default=2.0)
     sp.add_argument("--no-row-scale", action="store_true")
     sp.add_argument("--force", action="store_true",
                     help="sample even when the plan is infeasible")
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--checks", type=_checks_arg,
                     help="comma list from: " + ",".join(sorted(_exp.KNOWN_CHECKS)))
-    sp.add_argument("--c4", dest="c_4", type=float, default=2.0)
     sp.add_argument("--threads", type=_positive_int,
                     default=os.cpu_count() or 1)
     sp.add_argument("--force", action="store_true")
@@ -398,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float)
     sp.add_argument("--R", dest="big_r", type=float)
     sp.add_argument("--c-lo", dest="c_lo", type=float, default=3.0)
-    sp.add_argument("--c4", dest="c_4", type=float, default=2.0)
     sp.add_argument("--threads", type=_positive_int,
                     default=os.cpu_count() or 1)
     sp.add_argument("--force", action="store_true")

@@ -21,6 +21,7 @@ GAUSSIAN = "gaussian"
 SPIKY = "spiky"
 
 _KINDS = (RADEMACHER, GAUSSIAN, SPIKY)
+C3_BOUND = 2.0  # condition C3 of a plan: R^4 * delta <= C3_BOUND
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,7 @@ class ParameterPlan:
 
 
 def evaluate_plan(n_rows: int, n_cols: int, delta: float, p: float,
-                  big_r: float, c_lo: float = 3.0,
-                  c_4: float = 2.0) -> ParameterPlan:
+                  big_r: float, c_lo: float = 3.0) -> ParameterPlan:
     """Evaluate the four admissibility conditions for explicit (delta, p, R)."""
     if n_rows < 2:
         raise ValueError("n_rows must be at least 2")
@@ -138,16 +138,16 @@ def evaluate_plan(n_rows: int, n_cols: int, delta: float, p: float,
                       big_r >= 2.0 * n_rows),
         PlanCondition("C2", f"{lo:.6g} <= delta={delta:.6g} <= {hi:.6g}",
                       lo * (1.0 - 1e-12) <= delta <= hi),
-        PlanCondition("C3", f"R^4*delta={quart:.6g} <= c_4={c_4:.6g}",
-                      quart <= c_4),
+        PlanCondition("C3", f"R^4*delta={quart:.6g} <= c_4={C3_BOUND:.6g}",
+                      quart <= C3_BOUND),
         PlanCondition("C4", f"delta={delta:.6g} <= 1/N={1.0 / n_rows:.6g}",
                       delta <= 1.0 / n_rows),
     )
     return ParameterPlan(n_rows, n_cols, delta, p, big_r, conditions)
 
 
-def plan_parameters(n_rows: int, n_cols: int, c_lo: float = 3.0,
-                    c_4: float = 2.0) -> ParameterPlan:
+def plan_parameters(n_rows: int, n_cols: int,
+                    c_lo: float = 3.0) -> ParameterPlan:
     """delta = c_lo*ln(N)/n, p = ln(n)/ln(N), R = sqrt(p)*(1/delta)^(1/p).
 
     An infeasible plan is returned with its condition flags, not raised.
@@ -159,7 +159,7 @@ def plan_parameters(n_rows: int, n_cols: int, c_lo: float = 3.0,
     delta = c_lo * math.log(n_rows) / n_cols
     p = math.log(n_cols) / math.log(n_rows)
     big_r = math.sqrt(p) * (1.0 / delta) ** (1.0 / p)
-    return evaluate_plan(n_rows, n_cols, delta, p, big_r, c_lo, c_4)
+    return evaluate_plan(n_rows, n_cols, delta, p, big_r, c_lo)
 
 
 def max_rows_theorem_a_prime(n_cols: int, p: float) -> float:

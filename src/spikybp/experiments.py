@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import certify, recovery, rng
+from . import certify, recovery, rng, simplex
 from .ensemble import (EnsembleSpec, ParameterPlan, ScalarLaw, evaluate_plan,
                        plan_parameters, sample_matrix, sample_spike_mask)
 
@@ -54,7 +54,6 @@ class ExperimentConfig:
     checks: frozenset = DEFAULT_CHECKS
     planner_overrides: tuple[float, float, float] | None = None
     c_lo: float = 3.0
-    c_4: float = 2.0
     force: bool = False
 
     def __post_init__(self):
@@ -119,10 +118,9 @@ def resolve_plan(config: ExperimentConfig) -> ParameterPlan:
     if config.planner_overrides is not None:
         d, p, r = config.planner_overrides
         plan = evaluate_plan(config.n_rows, config.n_cols, d, p, r,
-                             config.c_lo, config.c_4)
+                             config.c_lo)
     else:
-        plan = plan_parameters(config.n_rows, config.n_cols,
-                               config.c_lo, config.c_4)
+        plan = plan_parameters(config.n_rows, config.n_cols, config.c_lo)
     return check_plan(plan, config.force)
 
 
@@ -160,15 +158,13 @@ def _theorem_a_trial(plan: ParameterPlan, trial: int, seed: int,
         if CHECK_SPIKE in checks:
             record.spike_event_all_rows = _spike_event_all_rows(mask)
     if CHECK_FAILURE in checks:
-        record.failure_found = False
-        for j in range(plan.n_cols):  # column 1 first, then the rest
-            target = recovery.SparseVector(plan.n_cols, (j,), (1.0,))
-            cert = certify.er_failure_certificate(mat, target)
-            if cert is not None:
-                record.failure_found = True
-                record.witness_j = j
-                record.certificate = cert
-                break
+        j, _, result = certify.er1_search(mat, 1.0 + simplex.FEAS_TOL)
+        record.failure_found = result is not None
+        if result is not None:
+            record.witness_j = j
+            record.certificate = certify.certificate_from(
+                mat.entries, recovery.SparseVector(plan.n_cols, (j,), (1.0,)),
+                result)
     if CHECK_L0 in checks:
         y = mat.entries[:, 0].copy()
         # every column parallel to column 1 is a size-1 solution too; these

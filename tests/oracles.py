@@ -158,6 +158,19 @@ def er1_representation_norms(g):
     return out
 
 
+def first_failure_every_column(n_cols, certificate_at):
+    """(j, certificate_at(j)) for the first column j in index order whose
+    certificate is not None, else (None, None): the theorem-a trial's
+    failure search before it was bound-pruned, one LP per column.  The
+    caller passes the package's certificate function, so witnesses can be
+    compared bit for bit and this module still imports nothing from it."""
+    for j in range(n_cols):
+        cert = certificate_at(j)
+        if cert is not None:
+            return j, cert
+    return None, None
+
+
 def nsp_worst_value(g, d):
     """max sum_S s_i h_i over Gamma h = 0, ||h||_1 <= 1, every |S| = d and
     every sign pattern s: one HiGHS LP each over h = h+ - h-."""

@@ -1,14 +1,16 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from spikybp import certify as ct, rng
+from spikybp import certify as ct, recovery, rng
 from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
                               sample_matrix)
 from spikybp.recovery import SparseVector, basis_pursuit, certify_uniqueness
+from spikybp.simplex import FEAS_TOL
 
 import oracles
 
@@ -17,6 +19,20 @@ DUP = np.array([[1.0, 1.0, 0.3], [0.5, 0.5, -0.2]])  # columns 1 and 2 equal
 
 def target(dim, j, val=1.0):
     return SparseVector(dim, (j,), (val,))
+
+
+@pytest.fixture
+def bp_count(monkeypatch):
+    """Records each basis_pursuit call made through the recovery module."""
+    calls = []
+    solve = recovery.basis_pursuit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "basis_pursuit", counted)
+    return calls
 
 
 # ---------------------------------------------------- failure certificates
@@ -100,6 +116,62 @@ def test_certificate_text_roundtrip():
     assert back.l1_witness == cert.l1_witness
 
 
+# --------------------------------------------- the theorem-a failure search
+
+def _draw(law, n_rows, n_cols, t):
+    return sample_matrix(EnsembleSpec(law, n_rows, n_cols,
+                                      rng.mix_seed(7, t))).entries
+
+
+@pytest.mark.parametrize("law, shape, witnesses", [
+    (ScalarLaw.gaussian(), (16, 300), [237, 50, 71, None]),
+    (ScalarLaw.rademacher(), (16, 400), [25, 244, None, 134]),
+], ids=["gaussian", "rademacher"])
+def test_er1_decision_matches_the_every_column_loop(law, shape, witnesses):
+    # the bound-pruned search finds the loop's first failing column, and
+    # its certificate has the loop's bits; the witness is rarely column 1
+    # and on some draws no column fails
+    for t, expect in enumerate(witnesses):
+        g = _draw(law, *shape, t)
+        n_cols = g.shape[1]
+        j_ref, ref = oracles.first_failure_every_column(
+            n_cols, lambda j: ct.er_failure_certificate(g, target(n_cols, j)))
+        j, r, result = ct.er1_search(g, 1.0 + FEAS_TOL)
+        assert j == j_ref == expect, f"draw {t}"
+        if ref is None:
+            assert result is None and r == math.inf
+            continue
+        cert = ct.certificate_from(g, target(n_cols, j), result)
+        assert cert.target == ref.target
+        assert cert.witness.tobytes() == ref.witness.tobytes()
+        assert cert.residual == ref.residual
+        assert cert.l1_witness == ref.l1_witness == r
+
+
+def test_er1_decision_prunes_rademacher_columns(bp_count):
+    # ER(1) holds on these draws; the loop solved 400 LPs per draw, and the
+    # bounds rule out every column but the first, which is solved before them
+    for t in range(4):
+        bp_count.clear()
+        j, r, result = ct.er1_search(_draw(ScalarLaw.rademacher(), 24, 400, t),
+                                     1.0 + FEAS_TOL)
+        assert (j, r, result) == (None, math.inf, None)
+        assert len(bp_count) <= 2
+
+
+def test_er1_decision_on_theorem_a_needs_one_lp_and_no_pinv(bp_count,
+                                                            monkeypatch):
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("pinv called")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    mat = sample_matrix(EnsembleSpec(plan_parameters(3, 10**4).law(), 3,
+                                     10**4, rng.mix_seed(2026, 0)))
+    j, r, result = ct.er1_search(mat, 1.0 + FEAS_TOL)
+    assert j == 0 and r < 1.0 and result is not None
+    assert len(bp_count) == 1
+
+
 # --------------------------------------------------------------- NSP check
 
 def er1_against_oracle(g):
@@ -142,11 +214,23 @@ def test_nsp_d2_identity():
     assert verdict.worst_value == 0.0
 
 
-def test_nsp_guards():
+def test_nsp_guards(bp_count):
     with pytest.raises(ValueError):
         ct.er_check_nsp(np.eye(3), 3)
-    with pytest.raises(ValueError):
-        ct.er_check_nsp(np.zeros((1, 5000)), 1)
+    # d = 1 has no size limit: the projector bounds come in row blocks of
+    # 32 MB, where the 5000 x 5000 projector took 200 MB
+    mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 16, 5000,
+                                     rng.mix_seed(7, 0)))
+    tracemalloc.start()
+    try:
+        verdict = ct.er_check_nsp(mat, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert not verdict.holds and verdict.worst_support == (2575,)
+    assert verdict.worst_value == pytest.approx(0.658277556061332, abs=1e-12)
+    assert len(bp_count) <= 10
     with pytest.raises(ValueError):
         ct.er_check_nsp(np.zeros((1, 300)), 2)
     with pytest.raises(ValueError):

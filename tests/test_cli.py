@@ -95,6 +95,14 @@ def test_plan_output(capsys):
     assert "feasible: yes" in out
 
 
+def test_c4_is_not_an_option(capsys):
+    # C3's bound is the constant ensemble.C3_BOUND, not a flag
+    assert cli.run(["plan", "--N", "3", "--n", "10000"]) == 0
+    assert "C3 ok: R^4*delta=1.06214 <= c_4=2\n" in capsys.readouterr().out
+    assert cli.run(["plan", "--N", "3", "--n", "10000", "--c4", "3"]) == 1
+    assert "--c4" in capsys.readouterr().err
+
+
 def test_plan_infeasible_reports_condition(capsys):
     assert cli.run(["plan", "--N", "100", "--n", "200"]) == 0
     out = capsys.readouterr().out
