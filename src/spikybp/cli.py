@@ -1,8 +1,8 @@
 """Command-line front door.
 
 One subcommand per library operation: plan, sample, moments, certify, nsp,
-recover, l0, compat, sweep, theorem-a.  Flags only, no config file, so a run
-is fully described by its shell history; --seed pins every output byte.
+recover, l0, compat, sweep.  Flags only, no config file, so a run is fully
+described by its shell history; --seed pins every output byte.
 
 Exit codes: 0 success, 1 usage or domain error, 2 when `certify` finds a
 failure certificate (lets shell pipelines branch on the verdict).
@@ -30,10 +30,6 @@ from .simplex import IterationLimitError
 
 def _csv_ints(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t.strip())
-
-
-def _csv_floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t.strip())
 
 
 def _positive_int(text: str) -> int:
@@ -93,8 +89,7 @@ def _law_from_args(args, shape: tuple[int, int] | None = None):
         return ScalarLaw.spiky(args.delta, args.big_r)
     if shape is None:
         raise ValueError("spiky law needs --delta and --R")
-    plan = _exp.check_plan(plan_parameters(*shape, args.c_lo),
-                           args.force)
+    plan = _exp.check_plan(plan_parameters(*shape), args.force)
     if not plan.feasible:
         _warn_infeasible(plan)
     return plan.law()
@@ -119,7 +114,7 @@ def _print_cell(cell_id: int, config, stats) -> None:
 
 
 def cmd_plan(args) -> int:
-    plan = plan_parameters(args.n_rows, args.n_cols, args.c_lo)
+    plan = plan_parameters(args.n_rows, args.n_cols)
     print(f"N = {plan.n_rows}  n = {plan.n_cols}")
     print(f"delta = {plan.delta!r}")
     print(f"p = {plan.p!r}")
@@ -232,8 +227,20 @@ def cmd_compat(args) -> int:
     return 0
 
 
-def _run_cells(configs, args) -> int:
+def cmd_sweep(args) -> int:
     """Check every cell's plan, then run the cells, write one CSV, print."""
+    lists = (args.n_rows_list, args.n_cols_list, args.trials_list)
+    if not all(lists):
+        raise ValueError("every sweep list must be nonempty")
+    overrides = (args.delta, args.p, args.big_r)
+    given = sum(v is not None for v in overrides)
+    if given not in (0, 3):
+        raise ValueError("--delta, --p, --R must be given all together")
+    configs = [_exp.ExperimentConfig(
+        n_rows, n_cols, trials, args.seed,
+        checks=args.checks or _exp.DEFAULT_CHECKS,
+        planner_overrides=overrides if given else None, force=args.force)
+        for n_rows, n_cols, trials in itertools.product(*lists)]
     for config in configs:
         plan = _exp.resolve_plan(config)
         if not plan.feasible:
@@ -245,32 +252,6 @@ def _run_cells(configs, args) -> int:
         _print_cell(cell_id, config, stats)
     print(f"wrote {args.out}")
     return 0
-
-
-def cmd_sweep(args) -> int:
-    lists = (args.n_rows_list, args.n_cols_list, args.c_lo_list,
-             args.trials_list)
-    if not all(lists):
-        raise ValueError("every sweep list must be nonempty")
-    checks = args.checks or _exp.DEFAULT_CHECKS
-    configs = [_exp.ExperimentConfig(n_rows, n_cols, trials, args.seed,
-                                     checks=checks, c_lo=c_lo,
-                                     force=args.force)
-               for n_rows, n_cols, c_lo, trials in itertools.product(*lists)]
-    return _run_cells(configs, args)
-
-
-def cmd_theorem_a(args) -> int:
-    overrides = (args.delta, args.p, args.big_r)
-    given = sum(v is not None for v in overrides)
-    if given not in (0, 3):
-        raise ValueError("--delta, --p, --R must be given all together")
-    config = _exp.ExperimentConfig(
-        args.n_rows, args.n_cols, args.trials, args.seed,
-        checks=args.checks or _exp.DEFAULT_CHECKS,
-        planner_overrides=overrides if given else None,
-        c_lo=args.c_lo, force=args.force)
-    return _run_cells([config], args)
 
 
 def _add_matrix(sp) -> None:
@@ -295,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "feasibility conditions")
     sp.add_argument("--N", dest="n_rows", type=int, required=True)
     sp.add_argument("--n", dest="n_cols", type=int, required=True)
-    sp.add_argument("--c-lo", dest="c_lo", type=float, default=3.0)
     sp.set_defaults(func=cmd_plan)
 
     sp = sub.add_parser("sample", help="draw one seeded matrix to a file")
@@ -307,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="spiky")
     sp.add_argument("--delta", type=float)
     sp.add_argument("--R", dest="big_r", type=float)
-    sp.add_argument("--c-lo", dest="c_lo", type=float, default=3.0)
     sp.add_argument("--no-row-scale", action="store_true")
     sp.add_argument("--force", action="store_true",
                     help="sample even when the plan is infeasible")
@@ -364,41 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", dest="l_budget", type=float, required=True)
     sp.set_defaults(func=cmd_compat)
 
-    sp = sub.add_parser("sweep", help="cartesian experiment sweep to CSV")
+    sp = sub.add_parser("sweep", help="cartesian grid of seeded cells: "
+                        "CSV plus a summary per cell")
     sp.add_argument("--N-list", dest="n_rows_list", type=_csv_ints,
                     required=True)
     sp.add_argument("--n-list", dest="n_cols_list", type=_csv_ints,
                     required=True)
-    sp.add_argument("--c-lo-list", dest="c_lo_list", type=_csv_floats,
-                    default=(3.0,))
     sp.add_argument("--trials-list", dest="trials_list", type=_csv_ints,
                     required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--checks", type=_checks_arg,
                     help="comma list from: " + ",".join(sorted(_exp.KNOWN_CHECKS)))
+    sp.add_argument("--delta", type=float,
+                    help="with --p and --R: replaces every cell's plan")
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--R", dest="big_r", type=float)
     sp.add_argument("--threads", type=_positive_int,
                     default=os.cpu_count() or 1)
     sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("theorem-a", help="one seeded cell: failure "
-                        "certificates plus event checks, CSV + summary")
-    sp.add_argument("--N", dest="n_rows", type=int, required=True)
-    sp.add_argument("--n", dest="n_cols", type=int, required=True)
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--checks", type=_checks_arg,
-                    help="comma list from: " + ",".join(sorted(_exp.KNOWN_CHECKS)))
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--R", dest="big_r", type=float)
-    sp.add_argument("--c-lo", dest="c_lo", type=float, default=3.0)
-    sp.add_argument("--threads", type=_positive_int,
-                    default=os.cpu_count() or 1)
-    sp.add_argument("--force", action="store_true")
-    sp.set_defaults(func=cmd_theorem_a)
 
     return ap
 

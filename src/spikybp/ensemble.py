@@ -21,6 +21,7 @@ GAUSSIAN = "gaussian"
 SPIKY = "spiky"
 
 _KINDS = (RADEMACHER, GAUSSIAN, SPIKY)
+C2_LOWER = 3.0  # condition C2 of a plan: delta >= C2_LOWER * ln(N) / n
 C3_BOUND = 2.0  # condition C3 of a plan: R^4 * delta <= C3_BOUND
 
 
@@ -124,13 +125,13 @@ class ParameterPlan:
 
 
 def evaluate_plan(n_rows: int, n_cols: int, delta: float, p: float,
-                  big_r: float, c_lo: float = 3.0) -> ParameterPlan:
+                  big_r: float) -> ParameterPlan:
     """Evaluate the four admissibility conditions for explicit (delta, p, R)."""
     if n_rows < 2:
         raise ValueError("n_rows must be at least 2")
     if n_cols <= n_rows:
         raise ValueError("n_cols must exceed n_rows")
-    lo = c_lo * math.log(n_rows) / n_cols
+    lo = C2_LOWER * math.log(n_rows) / n_cols
     hi = math.log(math.e * n_cols / n_rows) / n_rows
     quart = big_r ** 4 * delta
     conditions = (
@@ -146,9 +147,8 @@ def evaluate_plan(n_rows: int, n_cols: int, delta: float, p: float,
     return ParameterPlan(n_rows, n_cols, delta, p, big_r, conditions)
 
 
-def plan_parameters(n_rows: int, n_cols: int,
-                    c_lo: float = 3.0) -> ParameterPlan:
-    """delta = c_lo*ln(N)/n, p = ln(n)/ln(N), R = sqrt(p)*(1/delta)^(1/p).
+def plan_parameters(n_rows: int, n_cols: int) -> ParameterPlan:
+    """delta = C2_LOWER*ln(N)/n, p = ln(n)/ln(N), R = sqrt(p)*(1/delta)^(1/p).
 
     An infeasible plan is returned with its condition flags, not raised.
     """
@@ -156,10 +156,10 @@ def plan_parameters(n_rows: int, n_cols: int,
         raise ValueError("n_rows must be at least 2")
     if n_cols <= n_rows:
         raise ValueError("n_cols must exceed n_rows")
-    delta = c_lo * math.log(n_rows) / n_cols
+    delta = C2_LOWER * math.log(n_rows) / n_cols
     p = math.log(n_cols) / math.log(n_rows)
     big_r = math.sqrt(p) * (1.0 / delta) ** (1.0 / p)
-    return evaluate_plan(n_rows, n_cols, delta, p, big_r, c_lo)
+    return evaluate_plan(n_rows, n_cols, delta, p, big_r)
 
 
 def max_rows_theorem_a_prime(n_cols: int, p: float) -> float:

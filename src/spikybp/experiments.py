@@ -53,7 +53,6 @@ class ExperimentConfig:
     base_seed: int
     checks: frozenset = DEFAULT_CHECKS
     planner_overrides: tuple[float, float, float] | None = None
-    c_lo: float = 3.0
     force: bool = False
 
     def __post_init__(self):
@@ -117,10 +116,9 @@ def wilson_95(successes: int, trials: int) -> tuple[float, float]:
 def resolve_plan(config: ExperimentConfig) -> ParameterPlan:
     if config.planner_overrides is not None:
         d, p, r = config.planner_overrides
-        plan = evaluate_plan(config.n_rows, config.n_cols, d, p, r,
-                             config.c_lo)
+        plan = evaluate_plan(config.n_rows, config.n_cols, d, p, r)
     else:
-        plan = plan_parameters(config.n_rows, config.n_cols, config.c_lo)
+        plan = plan_parameters(config.n_rows, config.n_cols)
     return check_plan(plan, config.force)
 
 

@@ -45,6 +45,10 @@ def test_parse_target_unit_and_literal():
 
 def test_unknown_command_and_flags_exit_1(capsys):
     assert cli.run(["frobnicate"]) == 1
+    # a cell runs through sweep; there is no theorem-a command
+    assert cli.run(["theorem-a", "--N", "3", "--n", "5000", "--trials", "4",
+                    "--seed", "7", "--out", "x.csv"]) == 1
+    assert "invalid choice: 'theorem-a'" in capsys.readouterr().err
     assert cli.run(["plan", "--N", "3"]) == 1  # missing --n
     assert cli.run(["plan", "--N", "3", "--n", "100", "--bogus", "1"]) == 1
     capsys.readouterr()
@@ -62,15 +66,26 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(command))
 
 
+# MATRIX and OUT stand for a matrix file and an output path; C2's lower
+# constant is ensemble.C2_LOWER, not a flag
 @pytest.mark.parametrize("command, flag", [
-    (["certify", "--target", "e1"], "--feas-tol"),
-    (["recover", "--target", "e1"], "--feas-tol"),
-    (["nsp", "--d", "1"], "--margin-tol"),
-    (["l0", "--target", "e1", "--d-max", "1"], "--res-tol"),
-    (["compat", "--s", "1", "--L", "1"], "--gap-tol"),
+    (["certify", "--target", "e1", "--matrix", "MATRIX"], "--feas-tol"),
+    (["recover", "--target", "e1", "--matrix", "MATRIX"], "--feas-tol"),
+    (["nsp", "--d", "1", "--matrix", "MATRIX"], "--margin-tol"),
+    (["l0", "--target", "e1", "--d-max", "1", "--matrix", "MATRIX"],
+     "--res-tol"),
+    (["compat", "--s", "1", "--L", "1", "--matrix", "MATRIX"], "--gap-tol"),
+    (["plan", "--N", "3", "--n", "10000"], "--c-lo"),
+    (["sample", "--N", "3", "--n", "10000", "--seed", "1", "--out", "OUT"],
+     "--c-lo"),
+    (["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
+      "--seed", "1", "--checks", "clean_col", "--threads", "1",
+      "--out", "OUT"], "--c-lo-list"),
 ])
-def test_removed_tolerance_flags_exit_1(identity_file, capsys, command, flag):
-    argv = command + ["--matrix", identity_file]
+def test_removed_tolerance_flags_exit_1(identity_file, tmp_path, capsys,
+                                        command, flag):
+    paths = {"MATRIX": identity_file, "OUT": str(tmp_path / "out")}
+    argv = [paths.get(a, a) for a in command]
     assert cli.run(argv) in (0, 2)
     capsys.readouterr()
     assert cli.run(argv + [flag, "1e-9"]) == 1
@@ -135,16 +150,18 @@ def test_sample_infeasible_needs_force(tmp_path, capsys):
     assert "C1" in err
     assert cli.run(args + ["--force"]) == 0
     err = capsys.readouterr().err
-    # violated condition still echoed, in the same words as theorem-a's
+    # violated condition still echoed, in the same words as sweep's
     assert err.startswith("warning: plan infeasible, C1 violated, ")
 
 
 def test_sample_and_theorem_a_refuse_a_plan_alike(tmp_path, capsys):
+    # a theorem-a cell runs through sweep
     out = str(tmp_path / "x.txt")
-    common = ["--N", "3", "--n", "400", "--seed", "1", "--out", out]
-    assert cli.run(["sample"] + common) == 1
+    common = ["--seed", "1", "--out", out]
+    assert cli.run(["sample", "--N", "3", "--n", "400"] + common) == 1
     sample_err = capsys.readouterr().err
-    assert cli.run(["theorem-a", "--trials", "1"] + common) == 1
+    assert cli.run(["sweep", "--N-list", "3", "--n-list", "400",
+                    "--trials-list", "1"] + common) == 1
     assert capsys.readouterr().err == sample_err
     assert sample_err.startswith("error: plan infeasible, C1 violated, ")
     assert sample_err.count("\n") == 1
@@ -241,10 +258,15 @@ def test_compat_command(identity_file, capsys):
     capsys.readouterr()
 
 
+# a theorem-a cell at 3 x 5000: a sweep over one-element lists
+def cell(*args):
+    return ["sweep", "--N-list", "3", "--n-list", "5000", *args]
+
+
 def test_theorem_a_stdout_covers_aggregate_row(tmp_path, capsys):
     out = tmp_path / "run.csv"
-    code = cli.run(["theorem-a", "--N", "3", "--n", "5000", "--trials", "2",
-                    "--seed", "7", "--out", str(out), "--threads", "1"])
+    code = cli.run(cell("--trials-list", "2", "--seed", "7",
+                        "--out", str(out), "--threads", "1"))
     assert code == 0
     stdout = capsys.readouterr().out
     with open(out, newline="") as f:
@@ -261,19 +283,20 @@ def test_theorem_a_stdout_covers_aggregate_row(tmp_path, capsys):
 def test_theorem_a_deterministic_csv(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        assert cli.run(["theorem-a", "--N", "3", "--n", "5000",
-                        "--trials", "2", "--seed", "3", "--out", str(path),
-                        "--threads", "1"]) == 0
+        assert cli.run(cell("--trials-list", "2", "--seed", "3",
+                            "--out", str(path), "--threads", "1")) == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
 
 
 def test_theorem_a_override_needs_all_three(tmp_path, capsys):
-    args = ["theorem-a", "--N", "3", "--n", "5000", "--trials", "1",
-            "--seed", "1", "--out", str(tmp_path / "r.csv"),
-            "--delta", "0.001"]
-    assert cli.run(args) == 1
-    capsys.readouterr()
+    args = cell("--trials-list", "1", "--seed", "1",
+                "--out", str(tmp_path / "r.csv"))
+    for given in (["--delta", "0.001"], ["--delta", "0.001", "--p", "6"],
+                  ["--R", "9"]):
+        assert cli.run(args + given) == 1
+        assert "given all together" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -299,10 +322,9 @@ def test_sweep_infeasible_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])
 @pytest.mark.parametrize("command", [
-    ["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
-     "--seed", "1"],
-    ["theorem-a", "--N", "3", "--n", "5000", "--trials", "1",
-     "--seed", "1"]])
+    cell("--trials-list", "1", "--seed", "1"),
+    cell("--trials-list", "1", "--seed", "1",
+         "--delta", "0.002", "--p", "6", "--R", "9", "--force")])
 def test_threads_must_be_positive(tmp_path, capsys, command, threads):
     argv = command + ["--out", str(tmp_path / "x.csv"), "--threads", threads]
     with pytest.raises(SystemExit) as err:
@@ -315,10 +337,9 @@ def test_threads_must_be_positive(tmp_path, capsys, command, threads):
 
 
 @pytest.mark.parametrize("command", [
-    ["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
-     "--seed", "1"],
-    ["theorem-a", "--N", "3", "--n", "5000", "--trials", "1",
-     "--seed", "1"]])
+    cell("--trials-list", "1", "--seed", "1"),
+    cell("--trials-list", "1", "--seed", "1",
+         "--delta", "0.002", "--p", "6", "--R", "9", "--force")])
 def test_gaussian_baseline_is_not_a_cell_check(tmp_path, capsys, command):
     argv = command + ["--out", str(tmp_path / "x.csv"), "--threads", "1",
                       "--checks", "nsp_gaussian_baseline"]

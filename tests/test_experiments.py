@@ -332,8 +332,8 @@ def test_rademacher_pairs_defeat_bp_at_three_rows():
 # ------------------------------------------------------------------ sweep
 
 def sweep(tmp_path, *args, n_rows="3", out="sweep.csv"):
-    return cli.run(["sweep", "--N-list", n_rows, "--c-lo-list", "3",
-                    "--threads", "1", "--out", str(tmp_path / out), *args])
+    return cli.run(["sweep", "--N-list", n_rows, "--threads", "1",
+                    "--out", str(tmp_path / out), *args])
 
 
 def test_sweep_csv_schema_and_rows(tmp_path, capsys):
@@ -369,6 +369,23 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "a.csv").read_bytes() == \
         (tmp_path / "b.csv").read_bytes()
+
+
+def test_sweep_overrides_are_the_library_cell(tmp_path, capsys):
+    # --delta --p --R --force give every cell the forced override config
+    assert sweep(tmp_path, "--n-list", "2000", "--trials-list", "3",
+                 "--seed", "7", "--delta", "0.002", "--p", "6", "--R", "9",
+                 "--force", "--checks", ",".join(ex.KNOWN_CHECKS),
+                 n_rows="3,5") == 0
+    assert capsys.readouterr().err == (
+        "warning: plan infeasible, C3 violated, R^4*delta=13.122 <= c_4=2\n"
+        "warning: plan infeasible, C1 violated, R=9 >= 2N=10\n")
+    configs = [ExperimentConfig(n_rows, 2000, 3, 7, checks=ex.KNOWN_CHECKS,
+                                planner_overrides=(0.002, 6, 9), force=True)
+               for n_rows in (3, 5)]
+    ex.write_csv(tmp_path / "lib.csv", [(c, run_cell(c)) for c in configs])
+    assert (tmp_path / "sweep.csv").read_bytes() == \
+        (tmp_path / "lib.csv").read_bytes()
 
 
 @pytest.fixture
