@@ -108,9 +108,9 @@ def _print_cell(cell_id: int, config, stats) -> None:
         lo, hi = st.wilson_95_interval
         print(f"    {name}: {st.successes}/{st.trials} "
               f"frequency={st.frequency!r} wilson=[{lo!r}, {hi!r}]")
-    phi = [r.phi2 for r in stats.records if r.phi2 is not None]
-    if phi:
-        print(f"    phi2 mean={sum(phi) / len(phi)!r}")
+    phi_mean = _exp.field_mean(stats.records, "phi2")
+    if phi_mean is not None:
+        print(f"    phi2 mean={phi_mean!r}")
 
 
 def cmd_plan(args) -> int:

@@ -3,14 +3,17 @@
 Each trial samples a fresh matrix with seed mix_seed(base_seed, t), so a
 trial's outcome depends only on (base_seed, t, cell parameters), regardless
 of worker scheduling.  Sweeps write one CSV row per (cell, trial) plus an
-aggregate row per cell with trial = -1.
+aggregate row per cell with trial = -1.  A new per-trial check is one row
+of CHECKS plus its TrialRecord field(s).
 """
 
 from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -22,23 +25,7 @@ from . import certify, recovery, rng, simplex
 from .ensemble import (EnsembleSpec, ParameterPlan, ScalarLaw, evaluate_plan,
                        plan_parameters, sample_matrix, sample_spike_mask)
 
-CHECK_FAILURE = "failure_cert"
-CHECK_CLEAN = "clean_col"
-CHECK_SPIKE = "spike_event"
-CHECK_L0 = "l0_unique"
-CHECK_NSP = "nsp_gaussian_baseline"
-CHECK_PHI2 = "phi2"
-# the per-trial checks of a cell; CHECK_NSP belongs to run_gaussian_baseline
-KNOWN_CHECKS = frozenset({CHECK_FAILURE, CHECK_CLEAN, CHECK_SPIKE,
-                          CHECK_L0, CHECK_PHI2})
-DEFAULT_CHECKS = frozenset({CHECK_FAILURE, CHECK_CLEAN, CHECK_SPIKE})
-
-# phi2 at or below this counts as the "compatibility collapsed" event
-PHI2_ZERO_TOL = 1e-6
-
-CSV_HEADER = ("cell_id", "N", "n", "delta", "p", "R", "trial", "seed",
-              "failure_found", "witness_j", "clean_col1",
-              "spike_event_all_rows", "l0_unique", "phi2")
+DEFAULT_CHECKS = frozenset({"failure_cert", "clean_col", "spike_event"})
 
 
 class PlanInfeasibleError(ValueError):
@@ -64,7 +51,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown checks: {sorted(unknown)}; a cell runs "
                 f"{sorted(KNOWN_CHECKS)}, and the Gaussian baseline "
-                f"({CHECK_NSP}) runs through run_gaussian_baseline")
+                f"({NSP_BASELINE.name}) runs through run_gaussian_baseline")
         if self.planner_overrides is not None:
             d, p, r = self.planner_overrides
             object.__setattr__(self, "planner_overrides",
@@ -144,39 +131,61 @@ def _spike_event_all_rows(mask: np.ndarray) -> bool:
     return bool(np.all((rest & single[None, :]).any(axis=1)))
 
 
-def _theorem_a_trial(plan: ParameterPlan, trial: int, seed: int,
-                     checks: frozenset) -> TrialRecord:
-    spec = EnsembleSpec(plan.law(), plan.n_rows, plan.n_cols, seed)
+def _failure_cert(mat, mask) -> dict:
+    j, _, result = certify.er1_search(mat, 1.0 + simplex.FEAS_TOL)
+    if result is None:
+        return dict(failure_found=False)
+    cert = certify.certificate_from(
+        mat.entries, recovery.SparseVector(mat.n_cols, (j,), (1.0,)), result)
+    return dict(failure_found=True, witness_j=j, certificate=cert)
+
+
+def _l0_unique(mat, mask) -> dict:
+    # columns parallel to column 1 are size-1 solutions too: the supports of
+    # l0_brute_force(mat, y, 1), without its thousands of SparseVectors
+    hits, _ = recovery._size_one_hits(mat.entries, mat.entries[:, 0].copy())
+    return dict(l0_unique=hits.tolist() == [0])
+
+
+# A per-trial check: fill(mat, mask) returns TrialRecord field values, with
+# mask() the trial's spike mask, sampled on first call; `fields` are the CSV
+# columns it fills, in order, and its 0/1 event is event(fields[0]).  Rows
+# look up module attributes when they run, where a tracer's wrappers sit.
+Check = namedtuple("Check", "name fields fill event", defaults=(bool,))
+
+CHECKS = (
+    Check("failure_cert", ("failure_found", "witness_j"), _failure_cert),
+    Check("clean_col", ("clean_col1",),
+          lambda mat, mask: dict(clean_col1=not bool(mask()[:, 0].any()))),
+    Check("spike_event", ("spike_event_all_rows",), lambda mat, mask: dict(
+        spike_event_all_rows=_spike_event_all_rows(mask()))),
+    Check("l0_unique", ("l0_unique",), _l0_unique),
+    Check("phi2", ("phi2",),
+          lambda mat, mask: dict(
+              phi2=certify.compatibility_constant(mat, (0,), 1.0).phi2),
+          event=lambda phi2: phi2 <= 1e-6),  # compatibility collapsed
+)
+# the exact ER(1) verdict, run by run_gaussian_baseline and not by a cell
+NSP_BASELINE = Check(
+    "nsp_gaussian_baseline", ("nsp_holds",),
+    lambda mat, mask: dict(nsp_holds=certify.er_check_nsp(mat, 1).holds))
+_ROWS = {c.name: c for c in (*CHECKS, NSP_BASELINE)}
+
+KNOWN_CHECKS = frozenset(c.name for c in CHECKS)
+_COLUMNS = tuple(f for c in CHECKS for f in c.fields)
+CSV_HEADER = ("cell_id", "N", "n", "delta", "p", "R", "trial",
+              "seed") + _COLUMNS
+
+
+def _trial(spec: EnsembleSpec, trial: int, checks) -> TrialRecord:
+    """The record of the named checks, run in table order on spec's matrix."""
     mat = sample_matrix(spec)
-    record = TrialRecord(trial, seed)
-    if CHECK_CLEAN in checks or CHECK_SPIKE in checks:
-        mask = sample_spike_mask(spec)
-        if CHECK_CLEAN in checks:
-            record.clean_col1 = not bool(mask[:, 0].any())
-        if CHECK_SPIKE in checks:
-            record.spike_event_all_rows = _spike_event_all_rows(mask)
-    if CHECK_FAILURE in checks:
-        j, _, result = certify.er1_search(mat, 1.0 + simplex.FEAS_TOL)
-        record.failure_found = result is not None
-        if result is not None:
-            record.witness_j = j
-            record.certificate = certify.certificate_from(
-                mat.entries, recovery.SparseVector(plan.n_cols, (j,), (1.0,)),
-                result)
-    if CHECK_L0 in checks:
-        y = mat.entries[:, 0].copy()
-        # every column parallel to column 1 is a size-1 solution too; these
-        # are the supports of l0_brute_force(mat, y, 1), without building
-        # the thousands of SparseVectors it returns at N = 3
-        hits, _ = recovery._size_one_hits(mat.entries, y)
-        record.l0_unique = hits.tolist() == [0]
-    if CHECK_PHI2 in checks:
-        record.phi2 = certify.compatibility_constant(mat, (0,), 1.0).phi2
-    return record
-
-
-def _trial_worker(args) -> TrialRecord:
-    return _theorem_a_trial(*args)
+    mask = functools.cache(lambda: sample_spike_mask(spec))
+    values = {}
+    for row in _ROWS.values():
+        if row.name in checks:
+            values.update(row.fill(mat, mask))
+    return TrialRecord(trial, spec.seed, **values)
 
 
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
@@ -204,26 +213,26 @@ def _single_blas_thread() -> None:
             return
 
 
-_INDICATORS = {
-    CHECK_FAILURE: lambda r: r.failure_found,
-    CHECK_CLEAN: lambda r: r.clean_col1,
-    CHECK_SPIKE: lambda r: r.spike_event_all_rows,
-    CHECK_L0: lambda r: r.l0_unique,
-    CHECK_NSP: lambda r: r.nsp_holds,
-    CHECK_PHI2: lambda r: None if r.phi2 is None else r.phi2 <= PHI2_ZERO_TOL,
-}
+def _values(records: list[TrialRecord], field: str) -> list:
+    return [v for v in (getattr(r, field) for r in records) if v is not None]
+
+
+def field_mean(records: list[TrialRecord], field: str) -> float | None:
+    """Mean of a field over the trials that set it, or None: a check's
+    aggregate CSV column (for a 0/1 field, the frequency)."""
+    vals = _values(records, field)
+    return sum(vals) / len(vals) if vals else None
 
 
 def _aggregate(records: list[TrialRecord], checks) -> dict[str, CheckStats]:
     out = {}
     for name in sorted(checks):
-        vals = [v for v in (_INDICATORS[name](r) for r in records)
-                if v is not None]
-        if not vals:
-            continue
-        s = sum(1 for v in vals if v)
-        out[name] = CheckStats(s, len(vals), s / len(vals),
-                               wilson_95(s, len(vals)))
+        row = _ROWS[name]
+        vals = [row.event(v) for v in _values(records, row.fields[0])]
+        if vals:
+            s = sum(1 for v in vals if v)
+            out[name] = CheckStats(s, len(vals), s / len(vals),
+                                   wilson_95(s, len(vals)))
     return out
 
 
@@ -263,20 +272,22 @@ def run_cell(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     if threads < 1:
         raise ValueError("threads must be at least 1")
     plan = resolve_plan(config)
-    args = [(plan, t, rng.mix_seed(config.base_seed, t), config.checks)
-            for t in range(config.trials)]
+    specs = [EnsembleSpec(plan.law(), plan.n_rows, plan.n_cols,
+                          rng.mix_seed(config.base_seed, t))
+             for t in range(config.trials)]
+    args = (specs, range(config.trials), [config.checks] * config.trials)
     workers = min(threads, config.trials)
     if workers > 1:
         chunk = max(1, config.trials // (4 * workers))
         pool = _worker_pool(workers)
         try:
-            records = list(pool.map(_trial_worker, args, chunksize=chunk))
+            records = list(pool.map(_trial, *args, chunksize=chunk))
         except BrokenProcessPool:
             _POOLS.clear()
             pool.shutdown()
             raise
     else:
-        records = [_trial_worker(a) for a in args]
+        records = list(map(_trial, *args))
     return TrialStats(_aggregate(records, config.checks), records, plan)
 
 
@@ -285,14 +296,11 @@ def run_gaussian_baseline(n_rows: int, n_cols: int, trials: int,
     """Frequency of the exact ER(1) verdict over seeded Gaussian matrices."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    records = []
-    for t in range(trials):
-        s = rng.mix_seed(seed, t)
-        mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), n_rows,
-                                         n_cols, s))
-        verdict = certify.er_check_nsp(mat, 1)
-        records.append(TrialRecord(t, s, nsp_holds=verdict.holds))
-    return TrialStats(_aggregate(records, {CHECK_NSP}), records, None)
+    checks = {NSP_BASELINE.name}
+    records = [_trial(EnsembleSpec(ScalarLaw.gaussian(), n_rows, n_cols,
+                                   rng.mix_seed(seed, t)), t, checks)
+               for t in range(trials)]
+    return TrialStats(_aggregate(records, checks), records, None)
 
 
 def _fmt_field(x) -> str:
@@ -310,22 +318,13 @@ def _cell_rows(cell_id: int, config: ExperimentConfig,
     plan = stats.plan
     prefix = [cell_id, config.n_rows, config.n_cols,
               plan.delta, plan.p, plan.big_r]
-    rows = []
-    for r in stats.records:
-        rows.append([_fmt_field(v) for v in prefix + [
-            r.trial, r.seed, r.failure_found, r.witness_j, r.clean_col1,
-            r.spike_event_all_rows, r.l0_unique, r.phi2]])
-
-    def freq(name):
-        st = stats.per_check.get(name)
-        return None if st is None else st.frequency
-
-    phi_vals = [r.phi2 for r in stats.records if r.phi2 is not None]
-    phi_mean = sum(phi_vals) / len(phi_vals) if phi_vals else None
-    rows.append([_fmt_field(v) for v in prefix + [
-        -1, None, freq(CHECK_FAILURE), None, freq(CHECK_CLEAN),
-        freq(CHECK_SPIKE), freq(CHECK_L0), phi_mean]])
-    return rows
+    rows = [prefix + [r.trial, r.seed] + [getattr(r, f) for f in _COLUMNS]
+            for r in stats.records]
+    # the aggregate row fills each check's first column only
+    rows.append(prefix + [-1, None] + [
+        field_mean(stats.records, f) if k == 0 else None
+        for c in CHECKS for k, f in enumerate(c.fields)])
+    return [[_fmt_field(v) for v in row] for row in rows]
 
 
 def write_csv(out_path, cells) -> None:

@@ -1,6 +1,7 @@
 """Independent reference implementations used to pin expected test values.
 
-Nothing in here imports the package under test.  Moments go through mpmath
+Nothing in here imports the package's code; mp_plan reads only its constant
+C2_LOWER, an input to the planner's formulas.  Moments go through mpmath
 at 50 digits, linear programs through brute-force vertex enumeration,
 probabilities through numpy.random Monte Carlo, the compatibility
 minimum through a dense grid plus an SLSQP polish (and, bit for bit,
@@ -14,6 +15,8 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.optimize import linprog, minimize
+
+from spikybp.ensemble import C2_LOWER
 
 mp.mp.dps = 50
 
@@ -39,10 +42,10 @@ def quad_gaussian_lp(p) -> float:
     return float(m ** (1 / q))
 
 
-def mp_plan(n_rows, n_cols, c_lo=3) -> tuple:
+def mp_plan(n_rows, n_cols) -> tuple:
     """(delta, p, R) from the planner's defining formulas."""
     big_n, n = mp.mpf(n_rows), mp.mpf(n_cols)
-    delta = c_lo * mp.log(big_n) / n
+    delta = mp.mpf(C2_LOWER) * mp.log(big_n) / n
     p = mp.log(n) / mp.log(big_n)
     big_r = mp.sqrt(p) * (1 / delta) ** (1 / p)
     return float(delta), float(p), float(big_r)

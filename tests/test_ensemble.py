@@ -99,6 +99,14 @@ def test_plan_parameters_3_5000():
     assert plan.feasible
 
 
+@pytest.mark.parametrize("n_rows, n_cols", [
+    (3, 10**4), (3, 5000), (5, 2000), (12, 10**4), (40, 10**4), (100, 200)])
+def test_plan_parameters_match_mpmath(n_rows, n_cols):
+    plan = plan_parameters(n_rows, n_cols)
+    want = oracles.mp_plan(n_rows, n_cols)
+    assert (plan.delta, plan.p, plan.big_r) == pytest.approx(want, rel=1e-14)
+
+
 def test_plan_infeasible_cells():
     plan = plan_parameters(100, 200)
     assert not plan.feasible

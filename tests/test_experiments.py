@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import hashlib
 import os
 import subprocess
 import sys
@@ -162,8 +163,8 @@ class _RecordingPool:
         self.shut = False
         calls.append(self)
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
     def shutdown(self, wait=True):
         self.shut = True
@@ -362,13 +363,25 @@ def test_sweep_csv_schema_and_rows(tmp_path, capsys):
         assert float(agg[8]) == sum(found) / len(found)
 
 
+# the CSV of the 3 x 5000 cell at seed 7 with every check: pins the phi2
+# and l0 bytes at a size tier-1 runs
+ALL_CHECKS_SHA256 = \
+    "f3ae51a43808e3ac48881b6bd53420375e5513fec16e27686dad1ce5881b6b4a"
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
-    for out in ("a.csv", "b.csv"):
-        assert sweep(tmp_path, "--n-list", "5000", "--trials-list", "2",
-                     "--seed", "7", out=out) == 0
-    capsys.readouterr()
-    assert (tmp_path / "a.csv").read_bytes() == \
-        (tmp_path / "b.csv").read_bytes()
+    all_checks = "failure_cert,clean_col,spike_event,l0_unique,phi2"
+    for args, sha256 in ((["--trials-list", "2"], None),
+                         (["--trials-list", "6", "--checks", all_checks],
+                          ALL_CHECKS_SHA256)):
+        for out in ("a.csv", "b.csv"):
+            assert sweep(tmp_path, "--n-list", "5000", "--seed", "7", *args,
+                         out=out) == 0
+        capsys.readouterr()
+        data = (tmp_path / "a.csv").read_bytes()
+        assert data == (tmp_path / "b.csv").read_bytes()
+        if sha256 is not None:
+            assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_sweep_overrides_are_the_library_cell(tmp_path, capsys):
@@ -434,16 +447,28 @@ def test_sweep_empty_list_exits_1(tmp_path, capsys, ran):
     assert ran == []
 
 
-def test_cell_rows_missing_checks_leave_fields_empty(tmp_path):
-    cfg = small_config(trials=1, seed=2, checks={"clean_col"})
-    stats = run_cell(cfg)
-    out = tmp_path / "one.csv"
-    ex.write_csv(out, [(cfg, stats)])
-    with open(out, newline="") as f:
-        rows = list(csv.reader(f))
-    trial_row = rows[1]
-    header = list(CSV_HEADER)
-    assert trial_row[header.index("failure_found")] == ""
-    assert trial_row[header.index("l0_unique")] == ""
-    assert trial_row[header.index("phi2")] == ""
-    assert trial_row[header.index("clean_col1")] in ("0", "1")
+@pytest.mark.parametrize("name", sorted(ex.KNOWN_CHECKS))
+def test_cell_rows_missing_checks_leave_fields_empty(tmp_path, name):
+    own = {"failure_cert": ["failure_found", "witness_j"],
+           "clean_col": ["clean_col1"],
+           "spike_event": ["spike_event_all_rows"],
+           "l0_unique": ["l0_unique"], "phi2": ["phi2"]}[name]
+    # column 1 fails at 3 x 5000 and recovers on the forced 16 x 40 cell, so
+    # witness_j is seen both filled and empty
+    configs = [ExperimentConfig(*shape, 1, 2, checks={name}, force=True)
+               for shape in ((3, 5000), (16, 40))]
+    ex.write_csv(tmp_path / "one.csv", [(c, run_cell(c)) for c in configs])
+    with open(tmp_path / "one.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    columns = CSV_HEADER[8:]
+    failed = []
+    for row in rows:
+        filled = [c for c, v in zip(columns, row[8:]) if v != ""]
+        if row[6] == "-1":  # the aggregate row: the first column only
+            assert filled == own[:1]
+        elif name == "failure_cert":
+            failed.append(row[8])
+            assert filled == (own if row[8] == "1" else own[:1])
+        else:
+            assert filled == own
+    assert failed in ([], ["1", "0"])
