@@ -8,13 +8,14 @@ round, and the loop stops when the full LP's dual check ||Gamma'y||_inf
 <= 1 + simplex._DUAL_TOL holds.  Up to SIFT_COLUMNS columns the first
 round is the whole LP.  The first round starts from a crash basis (a
 pivoted QR of the working set), each later one from the last round's
-basis, so phase 1 runs only on a rank-deficient working set.  Uniqueness of its minimizer is decided exactly by
-one strict-dual LP on the minimizer's support and signs, reduced to the
-kernel LP max {c'z : A z = 0, ||z||_1 <= 1} (_kernel_lp) that the ER(2)
-verdict in certify also solves, as basis pursuit on [A; c'] z = e_last
-(value 1/r), so basis_pursuit builds every LP; l0 recovery enumerates
-supports of growing size, all columns at once for size 1, one numpy block
-of closed-form 2x2 solves per column for size 2, and one solve per triple
+basis, so phase 1 runs only on a rank-deficient working set.  Uniqueness
+of its minimizer is decided exactly by one strict-dual LP on the
+minimizer's support and signs, reduced to the kernel LP
+max {c'z : A z = 0, ||z||_1 <= 1} (_kernel_lp) that the ER(2) verdict in
+certify also solves, as basis pursuit on [A; c'] z = e_last (value 1/r),
+so basis_pursuit builds every LP; l0 recovery enumerates supports of
+growing size, all columns at once for size 1, one numpy block of
+closed-form 2x2 solves per column for size 2, and one solve per triple
 for size 3, within a budget of L0_TRIPLE_BUDGET triples.
 
 SparseVector's constructor checks what it is given, because parse and

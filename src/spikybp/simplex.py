@@ -1,20 +1,26 @@
-"""Dense two-phase simplex for box-bounded linear programs.
+"""Dense two-phase simplex for linear programs in standard form.
 
-    minimize c.x   subject to   A x = b,   l <= x <= u
+    minimize c.x   subject to   A x = b,   x >= 0
 
-with infinite bounds allowed.  Aimed at problems with few equality rows and
-possibly many columns.  Each pivot factors the m x m basis afresh with one
-LAPACK LU (dgetrf) and reuses it for the three solves the pivot needs: the
-basic values, the duals and the entering column (dgetrs).  m stays tiny, so
-an O(m^3) factorization per pivot is cheap, and there is no update drift to
-manage.  A singular basis raises numpy.linalg.LinAlgError.
+Every LP the package solves is basis pursuit over the split t = t+ - t-,
+which has this form, so it is the only form: an LP with bounds
+l <= x <= h reaches it through x = l + u, u + s = h - l.  Aimed at
+problems with few equality rows and possibly many columns.  Each pivot
+factors the m x m basis afresh with one LAPACK LU (dgetrf) and reuses it
+for the three solves the pivot needs: the basic values, the duals and the
+entering column (dgetrs).  m stays tiny, so an O(m^3) factorization per
+pivot is cheap, and there is no update drift to manage.  A singular basis
+raises numpy.linalg.LinAlgError.
 
-Phase 1 starts from the all-artificial basis, unless the caller passes a
-start basis: m column indices whose basic solution is feasible.  The
-artificials not in it then start pinned at 0, so with none of them basic
-there is nothing for phase 1 to do and phase 2 starts at once.  The
-solution returns its final basis in the same index space, so a caller can
-start a related LP from it.
+Row i has an artificial column sign(b_i) e_i.  Phase 1 starts from the
+all-artificial basis, unless the caller passes a start basis: m column
+indices whose basic solution is feasible.  Every nonbasic variable is 0.
+An artificial is pinned at 0 once it leaves the basis, or if it is outside
+the start basis, and in phase 2 every artificial is pinned: it never
+enters, and while still basic (a rank-deficient A) it may not move off 0
+either way.  So with no artificial basic there is nothing for phase 1 to
+do and phase 2 starts at once.  The solution returns its final basis in
+the same index space, so a caller can start a related LP from it.
 
 Every column is priced on every pivot, so a pivot costs O(m k).  Basis
 pursuit over 10^4 columns therefore does not hand this solver the whole
@@ -34,14 +40,6 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
-_FREE = 3
-# status -> may the variable increase / decrease from where it is
-_CAN_INC = np.array([True, False, False, True])
-_CAN_DEC = np.array([False, True, False, True])
 
 _DUAL_TOL = 1e-9      # reduced-cost threshold for entering candidates
 _PIVOT_TOL = 1e-10    # smallest usable ratio-test denominator
@@ -81,11 +79,10 @@ class IterationLimitError(RuntimeError):
 
 @dataclass
 class LinearProgram:
+    """min objective.x s.t. eq_matrix x = eq_rhs, x >= 0."""
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    lower_bounds: np.ndarray | None = None
-    upper_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
@@ -96,23 +93,11 @@ class LinearProgram:
             raise ValueError("objective length must match eq_matrix columns")
         if self.eq_rhs.shape != (m,):
             raise ValueError("eq_rhs length must match eq_matrix rows")
-        if self.lower_bounds is None:
-            self.lower_bounds = np.zeros(k)
-        if self.upper_bounds is None:
-            self.upper_bounds = np.full(k, np.inf)
-        self.lower_bounds = np.atleast_1d(np.asarray(self.lower_bounds, dtype=np.float64))
-        self.upper_bounds = np.atleast_1d(np.asarray(self.upper_bounds, dtype=np.float64))
-        if self.lower_bounds.shape != (k,) or self.upper_bounds.shape != (k,):
-            raise ValueError("bounds length must match eq_matrix columns")
         finite = (np.all(np.isfinite(self.objective))
                   and np.all(np.isfinite(self.eq_matrix))
                   and np.all(np.isfinite(self.eq_rhs)))
         if not finite:
             raise ValueError("objective, eq_matrix, eq_rhs must be finite")
-        if np.any(np.isnan(self.lower_bounds)) or np.any(np.isnan(self.upper_bounds)):
-            raise ValueError("bounds must not contain NaN")
-        if np.any(self.lower_bounds > self.upper_bounds):
-            raise ValueError("lower bound exceeds upper bound")
 
     @property
     def n_rows(self) -> int:
@@ -125,17 +110,18 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """iterations counts the pivots and bound flips of both phases, and
-    phase1_iterations those of phase 1.  degenerate counts the steps no
-    longer than _DEGEN_TOL; bland is True once enough of them switched
-    pricing to Bland's rule.
+    """iterations counts the pivots of both phases, and phase1_iterations
+    those of phase 1.  degenerate counts the pivots whose step is no longer
+    than _DEGEN_TOL; bland is True once enough of them switched pricing to
+    Bland's rule.  max_violation is the larger of max|A x - b| and
+    max(-x) at an OPTIMAL x.
 
     dual is the y of the final basis, with reduced costs c - A'y: the
     phase-2 duals with OPTIMAL, and with INFEASIBLE the phase-1 duals, for
     the cost that is 0 on every column.  Then a_j'y <= _DUAL_TOL for every
-    column that may still increase, and if every nonbasic column rests at
-    0, y'b is the phase-1 residual, so y separates b from the cone of the
-    columns (Farkas).
+    column of the LP, and since every nonbasic variable is 0, y'b is the
+    phase-1 residual, so y separates b from the cone of the columns
+    (Farkas).
 
     basis holds the m indices of the final basis: j < n_vars is column j
     of the LP, n_vars + i the artificial of row i, so it may be passed back
@@ -162,8 +148,6 @@ class _Simplex:
         self.a[:, :k] = lp.eq_matrix
         self.b = lp.eq_rhs.copy()
         self.c_orig = lp.objective
-        self.lower = np.concatenate([lp.lower_bounds, np.zeros(m)])
-        self.upper = np.concatenate([lp.upper_bounds, np.full(m, np.inf)])
         self.cap = 50 * (m + k) ** 2
         self.bland_after = min(3 * (m + k), 50 * m)
         self.iterations = 0
@@ -172,24 +156,14 @@ class _Simplex:
         self.bland = False
         self.y = None  # duals of the basis last priced by _phase
 
-        # park every original variable on a finite bound (or 0 when free)
-        x = np.zeros(total)
-        # intp, so that _CAN_INC[st] indexes without a cast
-        st = np.full(total, _FREE, dtype=np.intp)
-        lo_fin = np.isfinite(self.lower[:k])
-        up_fin = np.isfinite(self.upper[:k])
-        x[:k] = np.where(lo_fin, self.lower[:k],
-                         np.where(up_fin, self.upper[:k], 0.0))
-        st[:k] = np.where(lo_fin, _AT_LOWER,
-                          np.where(up_fin, _AT_UPPER, _FREE))
-        # artificial column i is sign(r_i)*e_i so its start value |r_i| >= 0
-        r = self.b - self.a[:, :k] @ x[:k]
-        sgn = np.where(r >= 0.0, 1.0, -1.0)
+        # artificial column i is sign(b_i)*e_i so its start value |b_i| >= 0
+        sgn = np.where(self.b >= 0.0, 1.0, -1.0)
         self.a[np.arange(m), k + np.arange(m)] = sgn
-        x[k:] = np.abs(r)
-        st[k:] = _BASIC
-        self.x = x
-        self.status = st
+        self.x = np.zeros(total)
+        self.x[k:] = np.abs(self.b)
+        self.basic = np.zeros(total, dtype=bool)
+        self.basic[k:] = True
+        self.pinned = np.zeros(total, dtype=bool)  # artificials held at 0
         self.basis = np.arange(k, total)
         if basis is not None:
             self._start_from(basis)
@@ -197,8 +171,8 @@ class _Simplex:
     def _start_from(self, basis) -> None:
         """Make the given m columns the basis; the other artificials leave
         at 0, as if phase 1 had pivoted them out.  A singular basis, or one
-        whose basic values break their bounds by more than FEAS_TOL*(1 +
-        max|b|), is a caller error: ValueError, before any pivot."""
+        with a basic value below -FEAS_TOL*(1 + max|b|), is a caller error:
+        ValueError, before any pivot."""
         m, k = self.m, self.k
         basis = np.asarray(basis, dtype=np.intp)
         if basis.shape != (m,) or np.any((basis < 0) | (basis >= k + m)):
@@ -206,23 +180,19 @@ class _Simplex:
         lu, piv, info = _getrf(self.a[:, basis])
         if info > 0:
             raise ValueError("start basis is singular")
-        out = np.setdiff1d(np.arange(k, k + m), basis)
-        self.x[out] = 0.0
-        self.upper[out] = 0.0
-        self.status[out] = _AT_LOWER
-        self.status[basis] = _BASIC
-        xn = self.x.copy()
-        xn[basis] = 0.0
-        xb = _getrs(lu, piv, self.b - self.a @ xn)[0]
+        xb = _getrs(lu, piv, self.b)[0]
         tol = FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
-        if np.any(xb < self.lower[basis] - tol) or np.any(xb > self.upper[basis] + tol):
+        if np.any(xb < -tol):
             raise ValueError("start basis is not primal feasible")
+        self.x[:] = 0.0
         self.x[basis] = xb
+        self.basic[:] = False
+        self.basic[basis] = True
+        self.pinned[k:] = ~self.basic[k:]
         self.basis = basis.copy()
 
     def _phase(self, c: np.ndarray, phase1: bool) -> str:
         k = self.k
-        movable = self.upper - self.lower > 0.0
         while True:
             if self.iterations >= self.cap:
                 raise IterationLimitError(
@@ -233,36 +203,27 @@ class _Simplex:
             lu, piv, info = _getrf(self.a[:, bi])
             if info > 0:  # dgetrs would divide by the zero pivot silently
                 raise np.linalg.LinAlgError("singular basis matrix")
-            xn = self.x.copy()
-            xn[bi] = 0.0
-            xb = _getrs(lu, piv, self.b - self.a @ xn)[0]
+            xb = _getrs(lu, piv, self.b)[0]  # every nonbasic variable is 0
             self.x[bi] = xb
             self.y = _getrs(lu, piv, c[bi], trans=1)[0]
             d = c - self.a.T @ self.y
-            st = self.status
-            inc = movable & (d < -_DUAL_TOL) & _CAN_INC[st]
-            dec = movable & (d > _DUAL_TOL) & _CAN_DEC[st]
-            cand = inc | dec
+            cand = (d < -_DUAL_TOL) & ~self.basic & ~self.pinned
             if not cand.any():
                 return OPTIMAL
             if self.bland:
                 q = int(np.nonzero(cand)[0][0])
             else:
                 q = int(np.argmax(np.where(cand, np.abs(d), -1.0)))
-            direction = 1.0 if inc[q] else -1.0
             # basic values move by -delta * step
-            delta = direction * _getrs(lu, piv, self.a[:, q])[0]
+            delta = _getrs(lu, piv, self.a[:, q])[0]
 
-            lb, ub = self.lower[bi], self.upper[bi]
+            # a pinned basic artificial blocks the step on either side
             ratio = np.full(self.m, np.inf)
-            pos = delta > _PIVOT_TOL
-            neg = delta < -_PIVOT_TOL
-            np.divide(xb - lb, delta, out=ratio, where=pos)
-            np.divide(xb - ub, delta, out=ratio, where=neg)
+            blocks = ((delta > _PIVOT_TOL)
+                      | ((delta < -_PIVOT_TOL) & self.pinned[bi]))
+            np.divide(xb, delta, out=ratio, where=blocks)
             np.maximum(ratio, 0.0, out=ratio)
-            span = self.upper[q] - self.lower[q]  # own-bound flip distance
-            r_min = float(ratio.min())
-            step = min(span, r_min)
+            step = float(ratio.min())
             if not np.isfinite(step):
                 if phase1:
                     raise RuntimeError("phase-1 objective unbounded; input is broken")
@@ -274,32 +235,15 @@ class _Simplex:
                 if self.degenerate > self.bland_after:
                     self.bland = True
 
-            if span <= r_min:
-                # entering variable flips to its opposite bound, basis unchanged
-                if direction > 0:
-                    self.x[q] = self.upper[q]
-                    self.status[q] = _AT_UPPER
-                else:
-                    self.x[q] = self.lower[q]
-                    self.status[q] = _AT_LOWER
-                continue
-
-            tie = (ratio <= r_min + 1e-12 * (1.0 + r_min)) & (pos | neg)
-            rows = np.nonzero(tie)[0]
+            rows = np.nonzero(ratio <= step + 1e-12 * (1.0 + step))[0]
             row = int(rows[np.argmin(bi[rows])])  # lowest-index leaving variable
             leave = int(bi[row])
-            if delta[row] > 0:
-                self.x[leave] = self.lower[leave]
-                self.status[leave] = _AT_LOWER
-            else:
-                self.x[leave] = self.upper[leave]
-                self.status[leave] = _AT_UPPER
-            if phase1 and leave >= k:
-                # an artificial that left the basis is never allowed back
-                self.upper[leave] = 0.0
-                movable[leave] = False
-            self.x[q] += direction * step
-            self.status[q] = _BASIC
+            self.x[leave] = 0.0
+            self.basic[leave] = False
+            if leave >= k:  # an artificial that left is never allowed back
+                self.pinned[leave] = True
+            self.x[q] = step
+            self.basic[q] = True
             self.basis[row] = q
 
     def _solution(self, status, x=None, objective_value=None,
@@ -319,15 +263,14 @@ class _Simplex:
             if infeas > FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)):
                 return self._solution(INFEASIBLE, dual=self.y)
 
-        self.upper[k:] = 0.0  # artificials pinned for phase 2
+        self.pinned[k:] = True  # artificials pinned for phase 2
         c2 = np.concatenate([self.c_orig, np.zeros(m)])
         status = self._phase(c2, phase1=False)
         if status == UNBOUNDED:
             return self._solution(UNBOUNDED)
         x = self.x[:k].copy()
         resid = float(np.abs(self.a[:, :k] @ x - self.b).max(initial=0.0))
-        breach = max(float((self.lower[:k] - x).max(initial=0.0)),
-                     float((x - self.upper[:k]).max(initial=0.0)), 0.0)
+        breach = float(-x.min(initial=0.0))
         return self._solution(OPTIMAL, x, float(self.c_orig @ x), dual=self.y,
                               max_violation=max(resid, breach))
 
@@ -337,9 +280,9 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
 
     basis, if given, is the start basis: m indices in LpSolution.basis's
     index space (j < n_vars a column of lp, n_vars + i the artificial of
-    row i).  Nonbasic columns start on their bounds as without one.  Phase
-    1 then runs only if an artificial is basic.  A singular or infeasible
-    start basis raises ValueError."""
+    row i).  Every other variable starts at 0, and the artificials outside
+    it start pinned.  Phase 1 then runs only if an artificial is basic.  A
+    singular or infeasible start basis raises ValueError."""
     if lp.n_rows < 1:
         raise ValueError("need at least one equality row")
     return _Simplex(lp, basis).run()

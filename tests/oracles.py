@@ -2,7 +2,8 @@
 
 Nothing in here imports the package's code; mp_plan reads only its constant
 C2_LOWER, an input to the planner's formulas.  Moments go through mpmath
-at 50 digits, linear programs through brute-force vertex enumeration,
+at 50 digits, box-bounded linear programs through brute-force vertex
+enumeration or HiGHS (box_to_standard gives the solver's form of one),
 probabilities through numpy.random Monte Carlo, the compatibility
 minimum through a dense grid plus an SLSQP polish (and, bit for bit,
 through Frank-Wolfe over every column), and l0 pairs through one dense
@@ -140,6 +141,22 @@ def lp_scipy(c, a_eq, b_eq, lower, upper):
                   bounds=list(zip(lower, upper)), method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
     return status, (float(res.fun) if res.status == 0 else None)
+
+
+def box_to_standard(c, a_eq, b_eq, lower, upper):
+    """(c', A', b', offset): min c.x s.t. A x = b, lower <= x <= upper with
+    finite bounds, in the standard form min c'.(u, s) s.t. A'(u, s) = b',
+    (u, s) >= 0.  x = lower + u and u + s = upper - lower, so the box LP's
+    value is the standard form's plus offset = c.lower."""
+    c = np.asarray(c, float)
+    a_eq = np.asarray(a_eq, float)
+    lower = np.asarray(lower, float)
+    upper = np.asarray(upper, float)
+    m, k = a_eq.shape
+    a_std = np.block([[a_eq, np.zeros((m, k))], [np.eye(k), np.eye(k)]])
+    b_std = np.concatenate([np.asarray(b_eq, float) - a_eq @ lower,
+                            upper - lower])
+    return np.concatenate([c, np.zeros(k)]), a_std, b_std, float(c @ lower)
 
 
 def er1_representation_norms(g):

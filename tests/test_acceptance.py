@@ -242,21 +242,23 @@ def test_criterion_7_lp_solver_oracle_equivalence(capsys):
         else:
             b = gen.standard_normal(3)
         c = gen.standard_normal(6)
-        lp = LinearProgram(c, a, b, lo, hi)
-        sol = solve(lp)
+        # the solver takes the box LP in standard form: x = lo + u
+        c_std, a_std, b_std, offset = oracles.box_to_standard(c, a, b, lo, hi)
+        sol = solve(LinearProgram(c_std, a_std, b_std))
         st, val = oracles.lp_vertex_oracle(c, a, b, lo, hi)
         if st == "optimal":
             assert sol.status == OPTIMAL, f"case {i}"
-            dev = abs(sol.objective_value - val)
+            value = sol.objective_value + offset
+            dev = abs(value - val)
             worst = max(worst, dev)
             assert dev <= 1e-9 * (1.0 + abs(val)), f"case {i}"
-            # LpSolution invariants
-            assert np.all(sol.x >= lo - 1e-8)
-            assert np.all(sol.x <= hi + 1e-8)
-            resid = np.max(np.abs(a @ sol.x - b))
+            # LpSolution invariants, on the box LP's x
+            x = lo + sol.x[:6]
+            assert np.all(x >= lo - 1e-8)
+            assert np.all(x <= hi + 1e-8)
+            resid = np.max(np.abs(a @ x - b))
             assert resid <= 1e-8 * (1.0 + np.max(np.abs(b)))
-            assert sol.objective_value == pytest.approx(float(c @ sol.x),
-                                                        abs=1e-9)
+            assert value == pytest.approx(float(c @ x), abs=1e-9)
             assert sol.iterations >= 0
             optimal += 1
         else:

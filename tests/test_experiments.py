@@ -109,6 +109,14 @@ def test_spike_event_all_rows_cases():
     assert not ex._spike_event_all_rows(mask)
 
 
+def test_phi2_event_is_collapse_at_most_1e6():
+    # the CSV carries only the phi2 mean; the event counts phi2 <= 1e-6
+    records = [ex.TrialRecord(i, i, phi2=v)
+               for i, v in enumerate((0.0, 1e-6, 2e-6, 1e-5))]
+    stats = ex._aggregate(records, {"phi2"})["phi2"]
+    assert (stats.successes, stats.trials) == (2, 4)
+
+
 # -------------------------------------------------------------- run_cell
 
 def test_run_cell_records_and_seeds():

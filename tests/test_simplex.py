@@ -15,15 +15,23 @@ def check_solution_invariants(lp, sol, feas_tol=1e-9):
     b_norm = float(np.max(np.abs(lp.eq_rhs))) if lp.eq_rhs.size else 0.0
     resid = float(np.max(np.abs(lp.eq_matrix @ sol.x - lp.eq_rhs)))
     assert resid <= 1e-7 * (1.0 + b_norm)
-    assert np.all(sol.x >= lp.lower_bounds - 1e-7)
-    assert np.all(sol.x <= lp.upper_bounds + 1e-7)
+    assert sol.max_violation <= 1e-7 * (1.0 + b_norm)
+    assert np.all(sol.x >= -1e-7)
     assert sol.objective_value == pytest.approx(
         float(lp.objective @ sol.x), abs=1e-9 * (1 + abs(sol.objective_value)))
     assert 0 <= sol.phase1_iterations <= sol.iterations
     assert 0 <= sol.degenerate <= sol.iterations
 
 
+def standard(box):
+    """The solver's LP of a box LP (c, A, b, lower, upper), and the offset
+    by which its value falls short of the box LP's."""
+    c, a, b, offset = oracles.box_to_standard(*box)
+    return LinearProgram(c, a, b), offset
+
+
 def random_lp(gen, m=3, k=6, force_feasible=False):
+    """A box LP (c, A, b, lower, upper) with finite bounds."""
     a = gen.standard_normal((m, k))
     lo = gen.uniform(-2.0, 0.0, k)
     hi = lo + gen.uniform(0.5, 3.0, k)
@@ -33,15 +41,12 @@ def random_lp(gen, m=3, k=6, force_feasible=False):
     else:
         b = gen.standard_normal(m)
     c = gen.standard_normal(k)
-    return LinearProgram(c, a, b, lo, hi)
+    return c, a, b, lo, hi
 
 
 def test_lp_validation():
     with pytest.raises(ValueError):
         LinearProgram([1.0], [[1.0, 2.0]], [1.0])  # objective length
-    with pytest.raises(ValueError):
-        LinearProgram([1.0, 1.0], [[1.0, 2.0]], [1.0],
-                      lower_bounds=[0.0, 2.0], upper_bounds=[1.0, 1.0])
     with pytest.raises(ValueError):
         LinearProgram([np.nan, 1.0], [[1.0, 2.0]], [1.0])
 
@@ -66,25 +71,6 @@ def test_unbounded():
     assert solve(lp).status == UNBOUNDED
 
 
-def test_bound_flip_path():
-    # optimum parks x at its upper bound without ever entering the basis
-    lp = LinearProgram([-1.0, 0.0], [[0.0, 1.0]], [1.0],
-                       lower_bounds=[0.0, 0.0], upper_bounds=[2.0, 2.0])
-    sol = solve(lp)
-    assert sol.status == OPTIMAL
-    assert sol.x[0] == pytest.approx(2.0)
-    assert sol.objective_value == pytest.approx(-2.0)
-
-
-def test_negative_lower_bounds():
-    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-3.0],
-                       lower_bounds=[-5.0, -5.0], upper_bounds=[5.0, 5.0])
-    sol = solve(lp)
-    assert sol.status == OPTIMAL
-    assert sol.objective_value == pytest.approx(-3.0, abs=1e-10)
-    check_solution_invariants(lp, sol)
-
-
 def test_beale_degenerate_cycle_guard():
     # the classic cycling example; slacks make it equality form
     a = np.array([
@@ -95,7 +81,7 @@ def test_beale_degenerate_cycle_guard():
     c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0, 0.0, 0.0, 0.0])
     b = np.array([0.0, 0.0, 1.0])
     k = 7
-    lp = LinearProgram(c, a, b, np.zeros(k), np.full(k, np.inf))
+    lp = LinearProgram(c, a, b)
     sol = solve(lp)
     assert sol.status == OPTIMAL
     st, val = oracles.lp_scipy(c, a, b, np.zeros(k), np.full(k, np.inf))
@@ -118,14 +104,14 @@ def test_random_battery_vs_scipy():
     gen = np.random.default_rng(1234)
     statuses = {"optimal": 0, "infeasible": 0}
     for i in range(150):
-        lp = random_lp(gen, force_feasible=(i % 2 == 0))
+        box = random_lp(gen, force_feasible=(i % 2 == 0))
+        lp, offset = standard(box)
         sol = solve(lp)
-        st, val = oracles.lp_scipy(lp.objective, lp.eq_matrix, lp.eq_rhs,
-                                   lp.lower_bounds, lp.upper_bounds)
+        st, val = oracles.lp_scipy(*box)
         if st == "optimal":
             assert sol.status == OPTIMAL, f"case {i}"
-            assert sol.objective_value == pytest.approx(val, abs=1e-7), \
-                f"case {i}"
+            assert sol.objective_value + offset == pytest.approx(
+                val, abs=1e-7), f"case {i}"
             check_solution_invariants(lp, sol)
         elif st == "infeasible":
             assert sol.status == INFEASIBLE, f"case {i}"
@@ -137,20 +123,21 @@ def test_random_battery_vs_scipy():
 def test_random_battery_vs_vertex_enumeration():
     gen = np.random.default_rng(77)
     for i in range(40):
-        lp = random_lp(gen, force_feasible=(i % 3 != 0))
+        box = random_lp(gen, force_feasible=(i % 3 != 0))
+        lp, offset = standard(box)
         sol = solve(lp)
-        st, val = oracles.lp_vertex_oracle(lp.objective, lp.eq_matrix,
-                                           lp.eq_rhs, lp.lower_bounds,
-                                           lp.upper_bounds)
+        st, val = oracles.lp_vertex_oracle(*box)
         if st == "optimal":
             assert sol.status == OPTIMAL
-            assert sol.objective_value == pytest.approx(val, abs=1e-9)
+            assert sol.objective_value + offset == pytest.approx(val,
+                                                                 abs=1e-9)
         else:
             assert sol.status == INFEASIBLE
 
 
 def degenerate_lp(gen, kind):
-    """A 3x8 LP with finite boxes and full row rank whose columns repeat:
+    """A 3x8 box LP (c, A, b, lower, upper) of full row rank whose columns
+    repeat:
     a duplicate, a negated and a scaled copy of a base column.  kind 0
     zeroes the right-hand side except a budget row of ones, a homogeneous
     system with one normalizing row; kind 1 puts b at a box vertex, so the
@@ -171,7 +158,7 @@ def degenerate_lp(gen, kind):
     c = gen.choice([-1.0, 0.0, 1.0], 8)
     c[4:] = c[[0, 1, 2, 3]] * np.array([1.0, -1.0, 2.0, -1.0])
     assert np.linalg.matrix_rank(a) == 3
-    return LinearProgram(c, a, b, lo, hi)
+    return c, a, b, lo, hi
 
 
 def test_degenerate_battery_vs_vertex_enumeration():
@@ -179,15 +166,14 @@ def test_degenerate_battery_vs_vertex_enumeration():
     seen = {"optimal": 0, "infeasible": 0}
     degenerate = 0
     for i in range(60):
-        lp = degenerate_lp(gen, i % 3)
+        box = degenerate_lp(gen, i % 3)
+        lp, offset = standard(box)
         sol = solve(lp)
-        st, val = oracles.lp_vertex_oracle(lp.objective, lp.eq_matrix,
-                                           lp.eq_rhs, lp.lower_bounds,
-                                           lp.upper_bounds)
+        st, val = oracles.lp_vertex_oracle(*box)
         assert sol.status == st, f"case {i}"
         if st == "optimal":
-            assert sol.objective_value == pytest.approx(val, abs=1e-9), \
-                f"case {i}"
+            assert sol.objective_value + offset == pytest.approx(
+                val, abs=1e-9), f"case {i}"
             check_solution_invariants(lp, sol)
         seen[st] += 1
         degenerate += sol.degenerate
@@ -200,7 +186,7 @@ def test_singular_basis_raises():
     # two basis slots holding one column: dgetrf reports the zero pivot,
     # where a bare dgetrs would hand back an inf or NaN step
     lp = LinearProgram(np.ones(3), [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]],
-                       [1.0, 1.0], upper_bounds=np.full(3, 2.0))
+                       [1.0, 1.0])
     run = simplex._Simplex(lp)
     run.basis[:] = 1
     x = run.x.copy()
@@ -270,14 +256,24 @@ def test_pivot_path_pins(lp_count):
     recovery.certify_uniqueness(g, g[:, 0], bp)
     h = np.random.default_rng(2026).standard_normal((12, 64))
     recovery.basis_pursuit(h[:, 1:], h[:, 0])
+    # a rank-deficient Gamma: phase 1 ends with an artificial basic at 0,
+    # so phase 2 runs with a pinned artificial in the basis
+    r = np.random.default_rng(2026).standard_normal((6, 30))
+    r[5] = r[0] - 2 * r[1]
+    bp = recovery.basis_pursuit(r, r[:, 0])
+    recovery.certify_uniqueness(r, r[:, 0], bp)
     assert [(s.status, s.iterations, s.phase1_iterations, s.degenerate,
              s.bland) for s in lp_count] == [
         (OPTIMAL, 5, 0, 5, False),      # basis pursuit, 10x40
         (OPTIMAL, 8, 0, 0, False),      # strict-dual uniqueness LP, 10x38
         (OPTIMAL, 16, 0, 0, False),     # least-l1 representation, 12x126
+        (OPTIMAL, 7, 5, 1, False),      # basis pursuit, rank 5, 6x60
+        (OPTIMAL, 10, 6, 5, False),     # its strict-dual uniqueness LP
     ]
     assert [s.objective_value for s in lp_count] == pytest.approx(
-        [1.0, 1 / 0.21368640946062925, 1.0716607771960946], abs=1e-12)
+        [1.0, 1 / 0.21368640946062925, 1.0716607771960946, 1.0,
+         1.435596454519622], abs=1e-12)
+    assert all(np.any(s.basis >= s.x.size) for s in lp_count[3:])
 
 
 def stalled_tie():
@@ -328,18 +324,13 @@ def test_infeasible_returns_phase1_duals():
 def test_dual_certificate_on_optimal():
     gen = np.random.default_rng(5)
     for _ in range(20):
-        lp = random_lp(gen, force_feasible=True)
+        lp, _ = standard(random_lp(gen, force_feasible=True))
         sol = solve(lp)
-        if sol.status != OPTIMAL or sol.dual is None:
-            continue
-        # weak duality residual: reduced costs respect the bound signs
+        assert sol.status == OPTIMAL  # a nonempty box is feasible and bounded
+        # complementary slackness: reduced costs d >= 0, and d = 0 where x > 0
         d = lp.objective - lp.eq_matrix.T @ sol.dual
-        at_lower = np.abs(sol.x - lp.lower_bounds) <= 1e-7
-        at_upper = np.abs(sol.x - lp.upper_bounds) <= 1e-7
-        interior = ~(at_lower | at_upper)
-        assert np.all(np.abs(d[interior]) <= 1e-6)
-        assert np.all(d[at_lower & ~at_upper] >= -1e-6)
-        assert np.all(d[at_upper & ~at_lower] <= 1e-6)
+        assert np.all(d >= -1e-6)
+        assert np.all(np.abs(d[sol.x > 1e-7]) <= 1e-6)
 
 
 def test_empty_constraint_guard():
