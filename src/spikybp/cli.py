@@ -21,10 +21,9 @@ import numpy as np
 from . import certify as _certify
 from . import experiments as _exp
 from . import recovery as _rec
-from .ensemble import (EnsembleSpec, ScalarLaw, empirical_moment,
-                       moment_lp_norm, moment_ratio, normalized_fourth_moment,
-                       plan_parameters, read_matrix_text, sample_matrix,
-                       write_matrix_text)
+from .ensemble import (EnsembleSpec, ScalarLaw, moment_lp_norm, moment_ratio,
+                       normalized_fourth_moment, plan_parameters,
+                       read_matrix_text, sample_matrix, write_matrix_text)
 from .simplex import IterationLimitError
 
 
@@ -130,9 +129,7 @@ def cmd_plan(args) -> int:
 
 def cmd_sample(args) -> int:
     law = _law_from_args(args, (args.n_rows, args.n_cols))
-    spec = EnsembleSpec(law, args.n_rows, args.n_cols, args.seed,
-                        apply_row_scale=not args.no_row_scale)
-    mat = sample_matrix(spec)
+    mat = sample_matrix(EnsembleSpec(law, args.n_rows, args.n_cols, args.seed))
     write_matrix_text(mat, args.out)
     extra = ""
     if law.kind == "spiky":
@@ -151,10 +148,6 @@ def cmd_moments(args) -> int:
     if p >= 2:
         print(f"normalized_lp_norm(p={p!r}) = {moment_ratio(law, p)!r}")
     print(f"normalized_fourth_moment = {normalized_fourth_moment(law)!r}")
-    if args.samples:
-        est = empirical_moment(law, p, args.samples, args.seed)
-        print(f"empirical_lp_norm({args.samples} samples, seed={args.seed})"
-              f" = {est!r}")
     return 0
 
 
@@ -188,8 +181,7 @@ def cmd_recover(args) -> int:
     y = _target_or_y(args, mat)
     result = _rec.basis_pursuit(mat, y)
     if args.unique:
-        result = _rec.certify_uniqueness(mat, y, result,
-                                         uniqueness_tol=args.uniqueness_tol)
+        result = _rec.certify_uniqueness(mat, y, result)
     x = result.minimizer
     show_tol = 1e-9 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
     print(f"l1_value = {result.l1_value!r}")
@@ -287,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="spiky")
     sp.add_argument("--delta", type=float)
     sp.add_argument("--R", dest="big_r", type=float)
-    sp.add_argument("--no-row-scale", action="store_true")
     sp.add_argument("--force", action="store_true",
                     help="sample even when the plan is infeasible")
     sp.set_defaults(func=cmd_sample)
@@ -299,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float)
     sp.add_argument("--R", dest="big_r", type=float)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=0,
-                    help="also print a Monte Carlo estimate")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_moments)
 
     sp = sub.add_parser("certify", help="search for a basis-pursuit failure "
@@ -323,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_or_y(sp)
     sp.add_argument("--unique", action="store_true",
                     help="also decide uniqueness of the minimizer")
-    sp.add_argument("--uniqueness-tol", dest="uniqueness_tol", type=float,
-                    default=_rec.UNIQUENESS_TOL,
-                    help="margin in [0, 1): unique only if the strict-dual "
-                         "value is below 1 - this (default %(default)g)")
     sp.add_argument("--out", help="write the dense minimizer here")
     sp.set_defaults(func=cmd_recover)
 

@@ -14,9 +14,8 @@ minimizer's support and signs, reduced to the kernel LP
 max {c'z : A z = 0, ||z||_1 <= 1} (_kernel_lp) that the ER(2) verdict in
 certify also solves, as basis pursuit on [A; c'] z = e_last (value 1/r),
 so basis_pursuit builds every LP; l0 recovery enumerates supports of
-growing size, all columns at once for size 1, one numpy block of
-closed-form 2x2 solves per column for size 2, and one solve per triple
-for size 3, within a budget of L0_TRIPLE_BUDGET triples.
+growing size up to 2, all columns at once for size 1 and one numpy block
+of closed-form 2x2 solves per column for size 2.
 
 SparseVector's constructor checks what it is given, because parse and
 from_dense take input from outside the program.  The l0 search builds its
@@ -27,7 +26,6 @@ than the search.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -52,11 +50,6 @@ UNIQUENESS_TOL = 1e-6
 # (BENCH_sifting.json).  Up to 256 columns the first round is the whole LP,
 # so the 10x20 and 12x63 LPs of the benchmark keep their pivot paths.
 SIFT_COLUMNS = 256
-
-# Most size-3 supports l0_brute_force will enumerate.  One triple costs about
-# 21 us (a 3x3 solve and a residual; Gaussian 4x60 and 5x40, one Xeon core),
-# so 3e6 triples take about a minute; C(n, 3) passes it from n = 264 on.
-L0_TRIPLE_BUDGET = 3_000_000
 
 
 class NoSolutionError(RuntimeError):
@@ -358,7 +351,7 @@ def _size_one_hits(g, y, res_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]
 
 
 def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVector]:
-    """All minimal-size supports solving Gamma t = y, by enumeration.
+    """Every minimal support of size <= d_max <= 2 solving Gamma t = y.
 
     Stops at the first size s with a least-squares residual below
     res_tol*(1 + ||y||_2) and returns every support of that size, in
@@ -372,57 +365,33 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
     rule; memory is O(N n).  Rank-deficient pairs (sigma_min/sigma_max <=
     eps*max(N, 2), lstsq's default rcond) are skipped: two parallel columns
     span at most the line of one of them, where size 1 has already looked,
-    so such a pair is never a minimal solution.  Size 3 loops over triples
-    with one dense solve each; it raises ValueError before the first triple
-    when C(n, 3) exceeds L0_TRIPLE_BUDGET (about a minute of solves).
-    Searches that stop at size 1 or 2 never reach that check.
+    so such a pair is never a minimal solution.
 
     The solutions skip SparseVector's checks, which hold by construction:
-    indices come from np.nonzero or itertools.combinations, so a support is
-    sorted, distinct and in range; the hit masks keep only nonzero
-    coefficients; and a NaN or infinite coefficient makes the residual NaN
-    or infinite, which fails residual <= threshold.  The list equals, object
-    by object and in order, what the checking constructor would build.
+    indices come from np.nonzero, so a support is sorted, distinct and in
+    range; the hit masks keep only nonzero coefficients; and a NaN or
+    infinite coefficient makes the residual NaN or infinite, which fails
+    residual <= threshold.  The list equals, object by object and in order,
+    what the checking constructor would build.
     """
     g, y = _system(gamma, y)
     n_rows, n_cols = g.shape
-    if not 0 <= d_max <= 3:
-        raise ValueError("d_max must lie in [0, 3]")
+    if not 0 <= d_max <= 2:
+        raise ValueError("d_max must lie in [0, 2]")
     if n_rows < d_max:
         raise ValueError("d_max cannot exceed the number of rows")
     norm_y = float(np.linalg.norm(y))
     thresh = res_tol * (1.0 + norm_y)
     if norm_y <= thresh:
         return [SparseVector(n_cols, (), ())]
-    found: list[SparseVector] = []
-    for s in range(1, d_max + 1):
-        if s == 1:
-            hits, coef = _size_one_hits(g, y, res_tol)
-            found = _solution_list(n_cols, hits[:, None].tolist(),
-                                   coef[hits, None].tolist())
-        elif s == 2:
-            found = _pair_solutions(g, y, np.einsum("ij,ij->j", g, g),
-                                    g.T @ y, thresh)
-        else:
-            if math.comb(n_cols, 3) > L0_TRIPLE_BUDGET:
-                raise ValueError(
-                    f"l0 size 3 would enumerate C({n_cols},3) = "
-                    f"{math.comb(n_cols, 3)} supports, more than the budget "
-                    f"of {L0_TRIPLE_BUDGET}; use d_max <= 2 or fewer columns")
-            supports, values = [], []
-            for supp in itertools.combinations(range(n_cols), 3):
-                sub = g[:, supp]
-                gram = sub.T @ sub
-                try:
-                    t = np.linalg.solve(gram, sub.T @ y)
-                except np.linalg.LinAlgError:
-                    t, *_ = np.linalg.lstsq(sub, y, rcond=None)
-                if np.linalg.norm(y - sub @ t) <= thresh and np.all(t != 0.0):
-                    supports.append(supp)
-                    values.append(t.tolist())
-            found = _solution_list(n_cols, supports, values)
-        if found:
-            return found
+    if d_max >= 1:
+        hits, coef = _size_one_hits(g, y, res_tol)
+        if hits.size:
+            return _solution_list(n_cols, hits[:, None].tolist(),
+                                  coef[hits, None].tolist())
+    if d_max == 2:
+        return _pair_solutions(g, y, np.einsum("ij,ij->j", g, g),
+                               g.T @ y, thresh)
     return []
 
 

@@ -148,6 +148,25 @@ def test_er1_decision_matches_the_every_column_loop(law, shape, witnesses):
         assert cert.l1_witness == ref.l1_witness == r
 
 
+def test_er1_decision_skips_a_column_outside_the_span(bp_count):
+    # column 0 is e1, outside the span of the others, which all equal e2:
+    # its LP has no solution and the search goes on to the tie at r = 1
+    g = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(recovery.NoSolutionError):
+        basis_pursuit(g[:, 1:], g[:, 0])
+    j_ref, ref = oracles.first_failure_every_column(
+        4, lambda j: ct.er_failure_certificate(g, target(4, j)))
+    bp_count.clear()
+    j, r, result = ct.er1_search(g, 1.0 + FEAS_TOL)
+    assert np.array_equal(bp_count[0][1], g[:, 0])
+    assert j == j_ref == 1 and r == 1.0
+    cert = ct.certificate_from(g, target(4, j), result)
+    assert cert.target == ref.target
+    assert cert.witness.tobytes() == ref.witness.tobytes()
+    assert cert.residual == ref.residual
+    assert cert.l1_witness == ref.l1_witness == r
+
+
 def test_er1_decision_prunes_rademacher_columns(bp_count):
     # ER(1) holds on these draws; the loop solved 400 LPs per draw, and the
     # bounds rule out every column but the first, which is solved before them

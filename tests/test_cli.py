@@ -81,6 +81,14 @@ def test_readme_commands_parse():
     (["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
       "--seed", "1", "--checks", "clean_col", "--threads", "1",
       "--out", "OUT"], "--c-lo-list"),
+    # the row scale, the uniqueness margin and the Monte Carlo moment are
+    # library parameters only
+    (["sample", "--N", "3", "--n", "10000", "--seed", "1", "--out", "OUT"],
+     "--no-row-scale"),
+    (["recover", "--target", "e1", "--unique", "--matrix", "MATRIX"],
+     "--uniqueness-tol"),
+    (["moments", "--law", "gaussian", "--p", "4"], "--samples"),
+    (["moments", "--law", "gaussian", "--p", "4"], "--seed"),
 ])
 def test_removed_tolerance_flags_exit_1(identity_file, tmp_path, capsys,
                                         command, flag):
@@ -168,6 +176,17 @@ def test_sample_and_theorem_a_refuse_a_plan_alike(tmp_path, capsys):
     assert not (tmp_path / "x.txt").exists()
 
 
+def test_sample_rademacher_entries_are_half(tmp_path, capsys):
+    # the control law: +-1 entries times the row scale 1/sqrt(N)
+    out = tmp_path / "r.txt"
+    assert cli.run(["sample", "--law", "rademacher", "--N", "4", "--n", "30",
+                    "--seed", "5", "--out", str(out)]) == 0
+    assert "law=rademacher" in capsys.readouterr().out
+    mat = read_matrix_text(out)
+    assert mat.entries.shape == (4, 30)
+    assert np.all(np.abs(mat.entries) == 0.5)
+
+
 def test_sample_explicit_law_needs_both_params(tmp_path, capsys):
     args = ["sample", "--N", "3", "--n", "100", "--seed", "1",
             "--delta", "0.01", "--out", str(tmp_path / "m.txt")]
@@ -230,6 +249,20 @@ def test_recover_infeasible_y(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_recover_y_of_wrong_length(identity_file, tmp_path, capsys):
+    z = tmp_path / "z.txt"
+    z.write_text("1 0 0\n")  # the matrix has 4 rows
+    assert cli.run(["recover", "--matrix", identity_file, "--y", str(z)]) == 1
+    assert capsys.readouterr().err.startswith("error: y has 3 entries")
+
+
+def test_matrix_header_needs_three_fields(tmp_path, capsys):
+    m = tmp_path / "m.txt"
+    m.write_text("2 2\n1 0\n0 1\n")
+    assert cli.run(["recover", "--matrix", str(m), "--target", "e1"]) == 1
+    assert capsys.readouterr().err.startswith("error: matrix header must be")
+
+
 def test_l0_command(dup_file, capsys):
     assert cli.run(["l0", "--matrix", dup_file, "--target", "e1",
                     "--d-max", "1"]) == 0
@@ -237,15 +270,10 @@ def test_l0_command(dup_file, capsys):
     assert "solutions: 2" in out
 
 
-def test_l0_triple_budget_exits_1(tmp_path, capsys):
-    gen = np.random.default_rng(3)
-    m, z = tmp_path / "wide.txt", tmp_path / "y.txt"
-    write_matrix_text(MeasurementMatrix(3, 300, gen.standard_normal((3, 300)),
-                                        1.0), m)
-    z.write_text("0.3 -1.2 0.8\n")
-    assert cli.run(["l0", "--matrix", str(m), "--y", str(z),
+def test_l0_d_max_above_2_exits_1(dup_file, capsys):
+    assert cli.run(["l0", "--matrix", dup_file, "--target", "e1",
                     "--d-max", "3"]) == 1
-    assert "budget" in capsys.readouterr().err
+    assert "d_max must lie in [0, 2]" in capsys.readouterr().err
 
 
 def test_compat_command(identity_file, capsys):

@@ -1,4 +1,3 @@
-import math
 import time
 
 import numpy as np
@@ -478,31 +477,22 @@ def test_l0_pairs_match_loop_oracle():
     assert inputs >= 200 and solutions >= 20_000
 
 
-def test_l0_guards(monkeypatch):
+def test_l0_guards():
     g = np.eye(3)
     y = np.zeros(3)
-    with pytest.raises(ValueError):
-        l0_brute_force(g, y, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        l0_brute_force(g, y, 3)  # no size-3 search
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
         l0_brute_force(g, y, -1)
     with pytest.raises(ValueError):
-        l0_brute_force(np.eye(2), np.zeros(2), 3)  # d_max above row count
-    # C(264, 3) > L0_TRIPLE_BUDGET: size 3 refuses before its first triple,
-    # while searches that stop at size 1 or 2 run as before
+        l0_brute_force(np.eye(1), np.zeros(1), 2)  # d_max above row count
     gen = np.random.default_rng(3)
     g = gen.standard_normal((3, 264))
     y = gen.standard_normal(3)
-    with pytest.raises(ValueError, match="budget"):
-        l0_brute_force(g, y, 3)
     assert l0_brute_force(g, y, 2) == []
-    assert [s.support for s in l0_brute_force(g, 2.0 * g[:, 5], 3)] == [(5,)]
-    pair = l0_brute_force(g, g[:, 1] - g[:, 7], 3)
+    assert [s.support for s in l0_brute_force(g, 2.0 * g[:, 5], 2)] == [(5,)]
+    pair = l0_brute_force(g, g[:, 1] - g[:, 7], 2)
     assert [s.support for s in pair] == [(1, 7)]
-    # the budget is read at call time and compared with C(n, 3)
-    monkeypatch.setattr(rec, "L0_TRIPLE_BUDGET", math.comb(12, 3))
-    assert len(l0_brute_force(g[:, :12], y, 3)) == math.comb(12, 3)
-    with pytest.raises(ValueError, match="budget"):
-        l0_brute_force(g[:, :13], y, 3)
 
 
 # ------------------------------------------------------------------ files

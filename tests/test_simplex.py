@@ -196,6 +196,22 @@ def test_singular_basis_raises():
     assert np.array_equal(run.x, x) and run.iterations == 0
 
 
+# min x_1 + x_2 s.t. 2 x_2 + x_3 = 1, -x_3 = 0
+PINNED_BLOCK = LinearProgram([1.0, 1.0, 0.0], [[0.0, 2.0, 1.0],
+                                               [0.0, 0.0, -1.0]], [1.0, 0.0])
+
+
+def test_iteration_cap_raises_with_the_last_point():
+    # the cap is checked before each pivot; this LP needs 2
+    run = simplex._Simplex(PINNED_BLOCK)
+    run.cap = 1
+    with pytest.raises(simplex.IterationLimitError, match="cap 1") as err:
+        run.run()
+    assert run.iterations == 1
+    assert err.value.x.shape == (PINNED_BLOCK.n_vars,)
+    assert np.isfinite(err.value.objective_value)
+
+
 def split_lp(a, b):
     """min sum(t+ + t-) s.t. [A, -A] (t+, t-) = b, t+- >= 0: basis pursuit."""
     return LinearProgram(np.ones(2 * a.shape[1]), np.hstack([a, -a]), b)
@@ -274,6 +290,14 @@ def test_pivot_path_pins(lp_count):
         [1.0, 1 / 0.21368640946062925, 1.0716607771960946, 1.0,
          1.435596454519622], abs=1e-12)
     assert all(np.any(s.basis >= s.x.size) for s in lp_count[3:])
+    # b_2 = 0 leaves row 2's artificial basic at 0 after phase 1; phase 2
+    # enters x_3, whose step would raise that artificial, so the pinned
+    # artificial blocks at step 0 and leaves
+    sol = solve(PINNED_BLOCK)
+    assert (sol.status, sol.iterations, sol.phase1_iterations, sol.degenerate,
+            sol.bland) == (OPTIMAL, 2, 1, 1, False)
+    assert sol.objective_value == 0.5
+    assert np.array_equal(sol.x, [0.0, 0.5, 0.0])
 
 
 def stalled_tie():
