@@ -68,30 +68,35 @@ def _target_or_y(args, mat) -> np.ndarray:
     return y
 
 
-def _warn_infeasible(plan) -> None:
-    print(f"warning: {_exp.plan_violation(plan)}", file=sys.stderr)
+def _cell_config(args, n_rows: int, n_cols: int, trials: int = 1, **kw):
+    """The cell at one shape under --delta and --R (both or neither) and
+    --force, once experiments.resolve_plan has checked its plan."""
+    if (args.delta is None) != (args.big_r is None):
+        raise ValueError("--delta and --R must be given together")
+    overrides = None if args.delta is None else (args.delta, args.big_r)
+    config = _exp.ExperimentConfig(n_rows, n_cols, trials, args.seed,
+                                   planner_overrides=overrides,
+                                   force=args.force, **kw)
+    plan = _exp.resolve_plan(config)
+    if not plan.feasible:
+        print(f"warning: {_exp.plan_violation(plan)}", file=sys.stderr)
+    return config
 
 
 def _law_from_args(args, shape: tuple[int, int] | None = None):
-    """--law, with a spiky law from --delta and --R given together.
+    """--law; only a spiky law takes --delta and --R.
 
-    Without them a spiky law comes from the planner for `shape`, gated by
-    --force; with no shape to plan for (moments) they are required.
-    """
-    if args.law == "gaussian":
-        return ScalarLaw.gaussian()
-    if args.law == "rademacher":
-        return ScalarLaw.rademacher()
-    if (args.delta is None) != (args.big_r is None):
-        raise ValueError("--delta and --R must be given together")
-    if args.delta is not None:
-        return ScalarLaw.spiky(args.delta, args.big_r)
-    if shape is None:
+    With a shape (sample) it is the law of that shape's sweep cell, checked
+    in the same words; with none (moments) --delta and --R are required."""
+    if args.law != "spiky":
+        if (args.delta, args.big_r) != (None, None):
+            raise ValueError(f"--law {args.law} takes no --delta or --R")
+        return getattr(ScalarLaw, args.law)()
+    if shape is not None:
+        return _exp.resolve_plan(_cell_config(args, *shape)).law()
+    if args.delta is None or args.big_r is None:
         raise ValueError("spiky law needs --delta and --R")
-    plan = _exp.check_plan(plan_parameters(*shape), args.force)
-    if not plan.feasible:
-        _warn_infeasible(plan)
-    return plan.law()
+    return ScalarLaw.spiky(args.delta, args.big_r)
 
 
 def _print_cell(cell_id: int, config, stats) -> None:
@@ -224,19 +229,9 @@ def cmd_sweep(args) -> int:
     lists = (args.n_rows_list, args.n_cols_list, args.trials_list)
     if not all(lists):
         raise ValueError("every sweep list must be nonempty")
-    overrides = (args.delta, args.p, args.big_r)
-    given = sum(v is not None for v in overrides)
-    if given not in (0, 3):
-        raise ValueError("--delta, --p, --R must be given all together")
-    configs = [_exp.ExperimentConfig(
-        n_rows, n_cols, trials, args.seed,
-        checks=args.checks or _exp.DEFAULT_CHECKS,
-        planner_overrides=overrides if given else None, force=args.force)
-        for n_rows, n_cols, trials in itertools.product(*lists)]
-    for config in configs:
-        plan = _exp.resolve_plan(config)
-        if not plan.feasible:
-            _warn_infeasible(plan)
+    configs = [_cell_config(args, n_rows, n_cols, trials,
+                            checks=args.checks or _exp.DEFAULT_CHECKS)
+               for n_rows, n_cols, trials in itertools.product(*lists)]
     cells = [(config, _exp.run_cell(config, threads=args.threads))
              for config in configs]
     _exp.write_csv(args.out, cells)
@@ -340,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checks", type=_checks_arg,
                     help="comma list from: " + ",".join(sorted(_exp.KNOWN_CHECKS)))
     sp.add_argument("--delta", type=float,
-                    help="with --p and --R: replaces every cell's plan")
-    sp.add_argument("--p", type=float)
+                    help="with --R: replaces every cell's (delta, R); "
+                         "p stays ln(n)/ln(N)")
     sp.add_argument("--R", dest="big_r", type=float)
     sp.add_argument("--threads", type=_positive_int,
                     default=os.cpu_count() or 1)

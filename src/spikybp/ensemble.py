@@ -100,7 +100,7 @@ class PlanCondition:
 
 @dataclass(frozen=True)
 class ParameterPlan:
-    """Admissible (delta, p, R) for a shape (N, n), with a condition report."""
+    """(delta, p, R) for a shape (N, n), p = ln(n)/ln(N), with conditions."""
 
     n_rows: int
     n_cols: int
@@ -124,13 +124,20 @@ class ParameterPlan:
         return ScalarLaw.spiky(self.delta, self.big_r)
 
 
-def evaluate_plan(n_rows: int, n_cols: int, delta: float, p: float,
-                  big_r: float) -> ParameterPlan:
-    """Evaluate the four admissibility conditions for explicit (delta, p, R)."""
+def _moment_order(n_rows: int, n_cols: int) -> float:
+    """p = ln(n)/ln(N), the moment order of the shape (N, n)."""
     if n_rows < 2:
         raise ValueError("n_rows must be at least 2")
     if n_cols <= n_rows:
         raise ValueError("n_cols must exceed n_rows")
+    return math.log(n_cols) / math.log(n_rows)
+
+
+def evaluate_plan(n_rows: int, n_cols: int, delta: float,
+                  big_r: float) -> ParameterPlan:
+    """The four admissibility conditions for explicit (delta, R) at (N, n);
+    p is ln(n)/ln(N), as in plan_parameters, and no condition reads it."""
+    p = _moment_order(n_rows, n_cols)
     lo = C2_LOWER * math.log(n_rows) / n_cols
     hi = math.log(math.e * n_cols / n_rows) / n_rows
     quart = big_r ** 4 * delta
@@ -152,14 +159,10 @@ def plan_parameters(n_rows: int, n_cols: int) -> ParameterPlan:
 
     An infeasible plan is returned with its condition flags, not raised.
     """
-    if n_rows < 2:
-        raise ValueError("n_rows must be at least 2")
-    if n_cols <= n_rows:
-        raise ValueError("n_cols must exceed n_rows")
+    p = _moment_order(n_rows, n_cols)
     delta = C2_LOWER * math.log(n_rows) / n_cols
-    p = math.log(n_cols) / math.log(n_rows)
     big_r = math.sqrt(p) * (1.0 / delta) ** (1.0 / p)
-    return evaluate_plan(n_rows, n_cols, delta, p, big_r)
+    return evaluate_plan(n_rows, n_cols, delta, big_r)
 
 
 def max_rows_theorem_a_prime(n_cols: int, p: float) -> float:

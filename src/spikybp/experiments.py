@@ -39,7 +39,7 @@ class ExperimentConfig:
     trials: int
     base_seed: int
     checks: frozenset = DEFAULT_CHECKS
-    planner_overrides: tuple[float, float, float] | None = None
+    planner_overrides: tuple[float, float] | None = None  # (delta, R)
     force: bool = False
 
     def __post_init__(self):
@@ -53,9 +53,8 @@ class ExperimentConfig:
                 f"{sorted(KNOWN_CHECKS)}, and the Gaussian baseline "
                 f"({NSP_BASELINE.name}) runs through run_gaussian_baseline")
         if self.planner_overrides is not None:
-            d, p, r = self.planner_overrides
-            object.__setattr__(self, "planner_overrides",
-                               (float(d), float(p), float(r)))
+            d, r = self.planner_overrides  # another length: ValueError
+            object.__setattr__(self, "planner_overrides", (float(d), float(r)))
 
 
 @dataclass
@@ -100,15 +99,6 @@ def wilson_95(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def resolve_plan(config: ExperimentConfig) -> ParameterPlan:
-    if config.planner_overrides is not None:
-        d, p, r = config.planner_overrides
-        plan = evaluate_plan(config.n_rows, config.n_cols, d, p, r)
-    else:
-        plan = plan_parameters(config.n_rows, config.n_cols)
-    return check_plan(plan, config.force)
-
-
 def plan_violation(plan: ParameterPlan) -> str:
     """'plan infeasible, <C> violated, <detail>' for the first violated
     condition: the words of both the refusal and the forced warning."""
@@ -116,9 +106,15 @@ def plan_violation(plan: ParameterPlan) -> str:
     return f"plan infeasible, {bad.name} violated, {bad.detail}"
 
 
-def check_plan(plan: ParameterPlan, force: bool) -> ParameterPlan:
-    """The plan, or PlanInfeasibleError if it is infeasible and not forced."""
-    if not plan.feasible and not force:
+def resolve_plan(config: ExperimentConfig) -> ParameterPlan:
+    """The cell's plan from its (delta, R) or the planner; PlanInfeasibleError
+    if it is infeasible and not forced."""
+    if config.planner_overrides is not None:
+        plan = evaluate_plan(config.n_rows, config.n_cols,
+                             *config.planner_overrides)
+    else:
+        plan = plan_parameters(config.n_rows, config.n_cols)
+    if not plan.feasible and not config.force:
         raise PlanInfeasibleError(
             f"{plan_violation(plan)} (--force runs it anyway)")
     return plan

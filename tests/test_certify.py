@@ -529,6 +529,9 @@ def test_compat_distinct_columns_small_cases():
         same_as_every_column(DUP, (j,))
     tiled = gen.standard_normal((3, 6))[:, gen.integers(0, 6, 40)]
     same_as_every_column(tiled, (0, 5))
+    # no off-support column: Frank-Wolfe moves over the support only
+    same_as_every_column(g[:, :1], (0,))
+    same_as_every_column(g[:, :2], (0, 1))
 
 
 def test_compat_tie_goes_to_the_smallest_column():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import re
 import shlex
@@ -66,6 +67,35 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(command))
 
 
+# every option string of every subcommand, -h aside: a change to the CLI
+# surface is a deliberate edit here
+OPTIONS = {
+    "plan": ["--N", "--n"],
+    "sample": ["--N", "--n", "--seed", "--out", "--law", "--delta", "--R",
+               "--force"],
+    "moments": ["--law", "--delta", "--R", "--p"],
+    "certify": ["--matrix", "--target", "--out"],
+    "nsp": ["--matrix", "--d"],
+    "recover": ["--matrix", "--target", "--y", "--unique", "--out"],
+    "l0": ["--matrix", "--target", "--y", "--d-max"],
+    "compat": ["--matrix", "--s", "--L"],
+    "sweep": ["--N-list", "--n-list", "--trials-list", "--seed", "--out",
+              "--checks", "--delta", "--R", "--threads", "--force"],
+}
+
+
+def test_option_inventory():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: [opt for action in sp._actions
+                    for opt in action.option_strings
+                    if opt not in ("-h", "--help")]
+             for name, sp in sub.choices.items()}
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 41
+
+
 # MATRIX and OUT stand for a matrix file and an output path; C2's lower
 # constant is ensemble.C2_LOWER, not a flag
 @pytest.mark.parametrize("command, flag", [
@@ -89,6 +119,10 @@ def test_readme_commands_parse():
      "--uniqueness-tol"),
     (["moments", "--law", "gaussian", "--p", "4"], "--samples"),
     (["moments", "--law", "gaussian", "--p", "4"], "--seed"),
+    # p is ln(n)/ln(N) for every plan; --delta and --R replace a plan
+    (["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
+      "--seed", "1", "--checks", "clean_col", "--threads", "1",
+      "--delta", "0.002", "--R", "9", "--force", "--out", "OUT"], "--p"),
 ])
 def test_removed_tolerance_flags_exit_1(identity_file, tmp_path, capsys,
                                         command, flag):
@@ -135,6 +169,8 @@ def test_plan_infeasible_reports_condition(capsys):
 def test_plan_domain_error(capsys):
     assert cli.run(["plan", "--N", "1", "--n", "100"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert cli.run(["plan", "--N", "5", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "error: n_cols must exceed n_rows\n"
 
 
 def test_sample_deterministic_and_loadable(tmp_path, capsys):
@@ -162,18 +198,37 @@ def test_sample_infeasible_needs_force(tmp_path, capsys):
     assert err.startswith("warning: plan infeasible, C1 violated, ")
 
 
+# 3 x 100 at delta = 0.01 violates C2 whatever R is
+EXPLICIT_C2 = ["--delta", "0.01", "--R", "6"]
+
+
 def test_sample_and_theorem_a_refuse_a_plan_alike(tmp_path, capsys):
-    # a theorem-a cell runs through sweep
+    # a theorem-a cell runs through sweep; a planned law and an explicit
+    # (delta, R) reach the same check
     out = str(tmp_path / "x.txt")
-    common = ["--seed", "1", "--out", out]
-    assert cli.run(["sample", "--N", "3", "--n", "400"] + common) == 1
+    for n_cols, law, bad in (("400", [], "C1"), ("100", EXPLICIT_C2, "C2")):
+        common = ["--seed", "1", "--out", out] + law
+        assert cli.run(["sample", "--N", "3", "--n", n_cols] + common) == 1
+        sample_err = capsys.readouterr().err
+        assert cli.run(["sweep", "--N-list", "3", "--n-list", n_cols,
+                        "--trials-list", "1"] + common) == 1
+        assert capsys.readouterr().err == sample_err
+        assert sample_err.startswith(
+            f"error: plan infeasible, {bad} violated, ")
+        assert sample_err.count("\n") == 1
+        assert not (tmp_path / "x.txt").exists()
+    # forced, both warn in the same line and run
+    assert cli.run(["sample", "--N", "3", "--n", "100", "--seed", "1",
+                    "--out", str(tmp_path / "m.txt"), "--force"]
+                   + EXPLICIT_C2) == 0
     sample_err = capsys.readouterr().err
-    assert cli.run(["sweep", "--N-list", "3", "--n-list", "400",
-                    "--trials-list", "1"] + common) == 1
-    assert capsys.readouterr().err == sample_err
-    assert sample_err.startswith("error: plan infeasible, C1 violated, ")
-    assert sample_err.count("\n") == 1
-    assert not (tmp_path / "x.txt").exists()
+    assert cli.run(["sweep", "--N-list", "3", "--n-list", "100",
+                    "--trials-list", "1", "--seed", "1", "--threads", "1",
+                    "--out", str(tmp_path / "s.csv"), "--force"]
+                   + EXPLICIT_C2) == 0
+    assert capsys.readouterr().err == sample_err == (
+        "warning: plan infeasible, C2 violated, "
+        "0.0329584 <= delta=0.01 <= 1.50219\n")
 
 
 def test_sample_rademacher_entries_are_half(tmp_path, capsys):
@@ -191,8 +246,28 @@ def test_sample_explicit_law_needs_both_params(tmp_path, capsys):
     args = ["sample", "--N", "3", "--n", "100", "--seed", "1",
             "--delta", "0.01", "--out", str(tmp_path / "m.txt")]
     assert cli.run(args) == 1
-    assert cli.run(args + ["--R", "6"]) == 0
-    capsys.readouterr()
+    assert "given together" in capsys.readouterr().err
+    # an explicit (delta, R) is checked like a planned one
+    assert cli.run(args + ["--R", "6"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: plan infeasible, C2 violated")
+    assert not (tmp_path / "m.txt").exists()
+    assert cli.run(args + ["--R", "6", "--force"]) == 0
+    assert capsys.readouterr().err.startswith(
+        "warning: plan infeasible, C2 violated")
+
+
+def test_control_laws_take_no_spike_params(tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    for argv in (["sample", "--law", "gaussian", "--N", "3", "--n", "100",
+                  "--seed", "1", "--out", str(out), "--delta", "0.5"],
+                 ["sample", "--law", "rademacher", "--N", "3", "--n", "100",
+                  "--seed", "1", "--out", str(out), "--R", "6"],
+                 ["moments", "--law", "gaussian", "--delta", "0.3",
+                  "--p", "4"]):
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: --law ")
+    assert not out.exists()
 
 
 def test_moments_output(capsys):
@@ -317,13 +392,13 @@ def test_theorem_a_deterministic_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_theorem_a_override_needs_all_three(tmp_path, capsys):
+def test_theorem_a_override_needs_both(tmp_path, capsys):
     args = cell("--trials-list", "1", "--seed", "1",
                 "--out", str(tmp_path / "r.csv"))
-    for given in (["--delta", "0.001"], ["--delta", "0.001", "--p", "6"],
-                  ["--R", "9"]):
+    for given in (["--delta", "0.001"], ["--R", "9"]):
         assert cli.run(args + given) == 1
-        assert "given all together" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: --delta and --R must be given together\n"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -352,7 +427,7 @@ def test_sweep_infeasible_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     cell("--trials-list", "1", "--seed", "1"),
     cell("--trials-list", "1", "--seed", "1",
-         "--delta", "0.002", "--p", "6", "--R", "9", "--force")])
+         "--delta", "0.002", "--R", "9", "--force")])
 def test_threads_must_be_positive(tmp_path, capsys, command, threads):
     argv = command + ["--out", str(tmp_path / "x.csv"), "--threads", threads]
     with pytest.raises(SystemExit) as err:
@@ -367,7 +442,7 @@ def test_threads_must_be_positive(tmp_path, capsys, command, threads):
 @pytest.mark.parametrize("command", [
     cell("--trials-list", "1", "--seed", "1"),
     cell("--trials-list", "1", "--seed", "1",
-         "--delta", "0.002", "--p", "6", "--R", "9", "--force")])
+         "--delta", "0.002", "--R", "9", "--force")])
 def test_gaussian_baseline_is_not_a_cell_check(tmp_path, capsys, command):
     argv = command + ["--out", str(tmp_path / "x.csv"), "--threads", "1",
                       "--checks", "nsp_gaussian_baseline"]

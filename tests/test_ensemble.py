@@ -119,9 +119,9 @@ def test_plan_infeasible_cells():
 
 def test_evaluate_plan_guards():
     with pytest.raises(ValueError):
-        evaluate_plan(1, 100, 0.1, 3.0, 5.0)
+        evaluate_plan(1, 100, 0.1, 5.0)
     with pytest.raises(ValueError):
-        evaluate_plan(10, 10, 0.1, 3.0, 5.0)
+        evaluate_plan(10, 10, 0.1, 5.0)
 
 
 def test_plan_law_roundtrip():
@@ -180,6 +180,12 @@ def test_mask_agrees_with_entry_magnitude():
     assert np.array_equal(mask, np.abs(mat.entries) > mid)
     rate = mask.mean()
     assert abs(rate - 0.1) < 5.0 * math.sqrt(0.1 * 0.9 / mask.size)
+    # laws without spikes have an all-clean mask
+    for law in (ScalarLaw.gaussian(), ScalarLaw.rademacher(),
+                ScalarLaw.spiky(0.0, 6.0)):
+        mask = sample_spike_mask(EnsembleSpec(law, 4, 30, seed=5))
+        assert mask.shape == (4, 30) and mask.dtype == bool
+        assert not mask.any()
 
 
 def test_rademacher_and_gaussian_matrices():

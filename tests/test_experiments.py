@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -47,9 +48,10 @@ def test_config_rejects_bad_trials():
 
 
 def test_config_coerces_overrides():
-    cfg = ExperimentConfig(3, 5000, 1, 0,
-                           planner_overrides=("0.001", 5, 8))
-    assert cfg.planner_overrides == (0.001, 5.0, 8.0)
+    cfg = ExperimentConfig(3, 5000, 1, 0, planner_overrides=("0.001", 8))
+    assert cfg.planner_overrides == (0.001, 8.0)
+    with pytest.raises(ValueError):  # (delta, R): p is the shape's
+        ExperimentConfig(3, 5000, 1, 0, planner_overrides=(0.001, 5, 8))
 
 
 # ------------------------------------------------------------------- plan
@@ -69,9 +71,10 @@ def test_resolve_plan_force_passes():
 
 def test_resolve_plan_overrides():
     cfg = ExperimentConfig(3, 5000, 1, 0,
-                           planner_overrides=(0.01, 6.0, 8.0), force=True)
+                           planner_overrides=(0.01, 8.0), force=True)
     plan = ex.resolve_plan(cfg)
-    assert plan.delta == 0.01 and plan.p == 6.0 and plan.big_r == 8.0
+    assert plan.delta == 0.01 and plan.big_r == 8.0
+    assert plan.p == math.log(5000) / math.log(3)
 
 
 # ----------------------------------------------------------------- wilson
@@ -333,7 +336,7 @@ def test_rademacher_pairs_defeat_bp_at_three_rows():
     # n = 5000, so a certificate exists in every trial
     cfg = ExperimentConfig(3, 5000, 3, 9,
                            checks={"failure_cert"},
-                           planner_overrides=(0.0, 8.0, 0.0), force=True)
+                           planner_overrides=(0.0, 0.0), force=True)
     stats = run_cell(cfg)
     assert stats.per_check["failure_cert"].frequency == 1.0
 
@@ -393,16 +396,16 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
 
 
 def test_sweep_overrides_are_the_library_cell(tmp_path, capsys):
-    # --delta --p --R --force give every cell the forced override config
+    # --delta --R --force give every cell the forced override config
     assert sweep(tmp_path, "--n-list", "2000", "--trials-list", "3",
-                 "--seed", "7", "--delta", "0.002", "--p", "6", "--R", "9",
+                 "--seed", "7", "--delta", "0.002", "--R", "9",
                  "--force", "--checks", ",".join(ex.KNOWN_CHECKS),
                  n_rows="3,5") == 0
     assert capsys.readouterr().err == (
         "warning: plan infeasible, C3 violated, R^4*delta=13.122 <= c_4=2\n"
         "warning: plan infeasible, C1 violated, R=9 >= 2N=10\n")
     configs = [ExperimentConfig(n_rows, 2000, 3, 7, checks=ex.KNOWN_CHECKS,
-                                planner_overrides=(0.002, 6, 9), force=True)
+                                planner_overrides=(0.002, 9), force=True)
                for n_rows in (3, 5)]
     ex.write_csv(tmp_path / "lib.csv", [(c, run_cell(c)) for c in configs])
     assert (tmp_path / "sweep.csv").read_bytes() == \
