@@ -266,38 +266,20 @@ def width_bound_check(vectors, big_r: float) -> tuple[float, float, bool]:
     return bound, inradius, inradius >= bound - 1e-9
 
 
-def _column_classes(a: np.ndarray) -> np.ndarray:
-    """The first column of each class of bitwise-equal columns of a, in
-    increasing order, so classes are numbered by their first column.
-
-    A lone class of two or more columns is left split into its columns:
-    numpy computes a one-column matrix-vector product with another kernel,
-    whose bits can differ from the ones a column gets inside a wider one.
-    """
-    n = a.shape[1]
-    if n < 2:
-        return np.arange(n)
-    keys = a.view(np.int64)  # equal bits, not equal values: 0.0 != -0.0
-    order = np.lexsort(keys[::-1])  # stable, so each run starts at its first
-    run = np.take(keys, order, axis=1)
-    new = np.ones(n, dtype=bool)
-    new[1:] = (run[:, 1:] != run[:, :-1]).any(axis=0)
-    first = np.sort(order[new])
-    return first if first.size > 1 else np.arange(n)
-
-
 def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,
              l_budget: float, gap_tol: float):
     """Minimize ||A_s b_s - A_u b_u||^2 over the signed simplex x L*B1 product.
 
     Away-step Frank-Wolfe with exact line search; iterates are convex
     combinations of product vertices (sigma_i e_i, +-L e_u).  The columns
-    of a_u are the distinct columns of A_c (compatibility_constant), in
-    order of their first column, and a vertex on one stands for a vertex
-    on that first column.  argmax over |grad_u| returns the first class at
+    of a_u are one column per class of A_c up to sign
+    (compatibility_constant), the class's first column, in increasing
+    order, and a vertex on one stands for a vertex on that first column.
+    A column and its negation have the same |grad| bit for bit, and +-L
+    covers both signs, so argmax over |grad_u| returns the first class at
     the maximum, whose first column is the smallest column at it, which
     is argmax over every column of A_c.  So the iterates are bit for bit
-    those of a run over every column, at a few dozen columns per iteration
+    those of a run over every column, at a dozen columns per iteration
     instead of 10^4 on a theorem-a matrix, as long as BLAS gives each
     column's product the same bits wherever the column sits in the matrix.
     OpenBLAS 0.3.31 (numpy 2.4, Haswell kernels) does for up to 7 rows.
@@ -402,10 +384,11 @@ def compatibility_constant(gamma, s_set, l_budget: float,
     """phi2(L, S) = |S| * min ||Gamma b_S - Gamma b_{S^c}||_2^2 over
     ||b_S||_1 = 1, ||b_{S^c}||_1 <= L, minimized per sign pattern of b_S.
 
-    Frank-Wolfe runs over the distinct off-support columns, found once and
-    shared by both sign patterns (_column_classes), and the minimizer puts
-    each class's weight on its first column.  At N = 3 the 10^4 columns of
-    a theorem-a matrix hold a few dozen distinct ones (see _afw_min).
+    Frank-Wolfe runs over one off-support column per class up to sign
+    (recovery.column_classes), found once and shared by both sign patterns,
+    and the minimizer puts each class's weight on its first column.  At
+    N = 3 the 10^4 columns of a theorem-a matrix fall into about a dozen
+    classes (see _afw_min).
     """
     g = _entries(gamma)
     n_rows, n_cols = g.shape
@@ -423,7 +406,12 @@ def compatibility_constant(gamma, s_set, l_budget: float,
     comp = np.nonzero(~in_s)[0]
     a_s = g[:, list(s)]
     a_c = g[:, comp]
-    first = _column_classes(a_c)
+    first = recovery.column_classes(a_c)[0]
+    if first.size == 1:
+        # a lone class stays split into its columns: numpy computes a
+        # one-column matrix-vector product with another kernel, whose bits
+        # can differ from the ones a column gets inside a wider one
+        first = np.arange(comp.size)
     a_u = g[:, comp[first]]  # gathered like a_c, so products keep their bits
     best = None
     total_iters = 0

@@ -45,6 +45,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not 0 <= self.base_seed < (1 << 64):
+            raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "checks", frozenset(self.checks))
         unknown = self.checks - KNOWN_CHECKS
         if unknown:

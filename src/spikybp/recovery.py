@@ -14,8 +14,12 @@ minimizer's support and signs, reduced to the kernel LP
 max {c'z : A z = 0, ||z||_1 <= 1} (_kernel_lp) that the ER(2) verdict in
 certify also solves, as basis pursuit on [A; c'] z = e_last (value 1/r),
 so basis_pursuit builds every LP; l0 recovery enumerates supports of
-growing size up to 2, all columns at once for size 1 and one numpy block
-of closed-form 2x2 solves per column for size 2.
+growing size up to 2, all columns at once for size 1 and, for size 2, one
+numpy block of closed-form 2x2 solves per class of columns equal up to
+sign (column_classes), the fitting class pairs then expanded to their
+member pairs.  At N = 3 a spiky column takes one of 64 value patterns, so
+the 400 columns of a 3x400 theorem-a prefix form 4 or 5 classes, and 6
+to 10 class pairs stand for 79,800 column pairs.
 
 SparseVector's constructor checks what it is given, because parse and
 from_dense take input from outside the program.  The l0 search builds its
@@ -256,8 +260,11 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     (Fuchs 2004; Zhang, Yin & Cheng 2015).  The verdict is UNIQUE iff the
     rank holds and value < 1 - uniqueness_tol, so uniqueness_tol is a margin
     on 1 - value.  The complete QR Gamma_S = [Q1 Q2][R1; 0] eliminates
-    z_S = -R1^-1 Q1'Gamma_C z_C: value = _kernel_lp(Q2'Gamma_C,
-    Gamma_C'Q1 R1^-T sigma), one basis pursuit, none when the rank fails.
+    z_S = -R1^-1 Q1'Gamma_C z_C: value = _kernel_lp(Q2'Gamma_C, c) with
+    c = Gamma_C'Q1 R1^-T sigma, one basis pursuit.  None runs when the rank
+    fails, or when ||c||_inf < 1 - uniqueness_tol: dropping the constraint
+    Q2'Gamma_C z_C = 0 can only raise the maximum, so value <= ||c||_inf,
+    and the verdict is UNIQUE, as the LP's would be.
     A NOT_UNIQUE result carries witness_alt = x* + eps*z, with z the
     optimal kernel direction (or a null vector of Gamma_S) and eps <= 1
     the largest step that flips no sign on S: Gamma w = y and
@@ -282,8 +289,10 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
         q, r = np.linalg.qr(g_s, mode="complete")
         q1, q2, r1 = q[:, :k], q[:, k:], r[:k]
         g_c = g[:, ~on_s]
-        value, z_c = _kernel_lp(q2.T @ g_c,
-                                g_c.T @ (q1 @ np.linalg.solve(r1.T, sigma)))
+        c = g_c.T @ (q1 @ np.linalg.solve(r1.T, sigma))
+        if np.abs(c).max(initial=0.0) < 1.0 - uniqueness_tol:
+            return replace(result, unique=UNIQUE, witness_alt=None)
+        value, z_c = _kernel_lp(q2.T @ g_c, c)
         if value < 1.0 - uniqueness_tol:
             return replace(result, unique=UNIQUE, witness_alt=None)
         z[~on_s] = z_c
@@ -293,46 +302,108 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     return replace(result, unique=NOT_UNIQUE, witness_alt=x + eps * z)
 
 
+def column_classes(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, label, sign): the columns of g in classes up to sign.
+
+    Each column is flipped so that its first nonzero entry is positive (a
+    zero column so that its first entry is +0.0), and two columns are in
+    one class when the flipped columns are equal bit for bit: so exactly
+    when one is the other or its negation, bit for bit.  first holds each
+    class's first column, in increasing order, so classes are numbered by
+    their first column; label[j] is the class of column j and sign[j] is
+    +-1.0 with g[:, j] == sign[j] * g[:, first[label[j]]] bit for bit.
+    np.bincount(label) gives the multiplicities.
+    """
+    g = np.ascontiguousarray(_entries(g))  # rows are the sort keys
+    n_cols = g.shape[1]
+    lead = g[0]  # after the loop: the first nonzero entry, else the first
+    for row in g[::-1]:
+        lead = np.where(row != 0.0, row, lead)
+    flip = np.signbit(lead)
+    # a flip flips each entry's sign bit; keys compare bits: 0.0 != -0.0
+    keys = g.view(np.int64) ^ (flip.astype(np.int64) << 63)
+    order = np.lexsort(keys[::-1])  # stable, so each run starts at its first
+    run = np.take(keys, order, axis=1)
+    new = np.ones(n_cols, dtype=bool)
+    new[1:] = (run[:, 1:] != run[:, :-1]).any(axis=0)
+    heads = order[new]
+    by_first = np.argsort(heads)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(by_first.size)
+    label = np.empty(n_cols, dtype=np.intp)
+    label[order] = number[np.cumsum(new) - 1]
+    first = heads[by_first]
+    sign = np.where(flip ^ flip[first][label], -1.0, 1.0)
+    return first, label, sign
+
+
 def _solution_list(n_cols: int, supports, values) -> list[SparseVector]:
-    """SparseVectors from rows of plain ints and floats (.tolist() rows of
-    hit indices and coefficients), without the constructor's checks:
-    l0_brute_force makes every row sorted, distinct, in range, finite and
-    nonzero (see there)."""
+    """SparseVectors from tuples of plain ints and floats (zipped .tolist()
+    columns of hit indices and coefficients), without the constructor's
+    checks: l0_brute_force makes every support sorted, distinct, in range,
+    and every value finite and nonzero (see there)."""
     found = []
     for supp, vals in zip(supports, values):
         v = object.__new__(SparseVector)
         object.__setattr__(v, "dim", n_cols)
-        object.__setattr__(v, "support", tuple(supp))
-        object.__setattr__(v, "values", tuple(vals))
+        object.__setattr__(v, "support", supp)
+        object.__setattr__(v, "values", vals)
         found.append(v)
     return found
 
 
-def _pair_solutions(g, y, norms2, dots, thresh) -> list[SparseVector]:
+def _pair_solutions(g, y, thresh) -> list[SparseVector]:
     """Every pair (i, j), i < j, whose columns fit y within thresh, in
-    itertools order; block i holds all j > i (see l0_brute_force)."""
+    itertools order: class pairs solved over the representatives, then
+    expanded to their member pairs (see l0_brute_force)."""
     n_rows, n_cols = g.shape
+    first, label, sign = column_classes(g)
+    reps = np.take(g, first, axis=1)  # C order, like g: g[:, first] is F order
+    # products over every column, indexed: a product over a few
+    # representatives can take another BLAS kernel and round differently
+    norms2 = np.einsum("ij,ij->j", g, g)[first]
+    dots = (g.T @ y)[first]
     rcond2 = (np.finfo(np.float64).eps * max(n_rows, 2)) ** 2
-    found: list[SparseVector] = []
-    for i in range(n_cols - 1):
-        a, d_i, g_i = norms2[i], dots[i], g[:, i]
-        c, d_j, g_j = norms2[i + 1:], dots[i + 1:], g[:, i + 1:]
-        b = g_i @ g_j
-        det = a * c - b * b
+    hit_a, hit_b, coef_a, coef_b = [], [], [], []
+    for a in range(first.size - 1):
+        a2, d_a, g_a = norms2[a], dots[a], reps[:, a]
+        c2, d_b, g_b = norms2[a + 1:], dots[a + 1:], reps[:, a + 1:]
+        b = g_a @ g_b
+        det = a2 * c2 - b * b
         # the Gram's largest eigenvalue; sigma ratio^2 = lambda_min/lambda_max
-        lam = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        lam = 0.5 * (a2 + c2) + np.hypot(0.5 * (a2 - c2), b)
         full = det > rcond2 * lam * lam
         safe = np.where(full, det, 1.0)
-        t_i = (c * d_i - b * d_j) / safe
-        t_j = (a * d_j - b * d_i) / safe
-        res = np.linalg.norm(y[:, None] - g_i[:, None] * t_i - g_j * t_j, axis=0)
-        hits = np.nonzero(full & (res <= thresh) & (t_i != 0.0) & (t_j != 0.0))[0]
+        t_a = (c2 * d_a - b * d_b) / safe
+        t_b = (a2 * d_b - b * d_a) / safe
+        res = np.linalg.norm(y[:, None] - g_a[:, None] * t_a - g_b * t_b, axis=0)
+        hits = np.nonzero(full & (res <= thresh) & (t_a != 0.0) & (t_b != 0.0))[0]
         if hits.size:
-            found += _solution_list(
-                n_cols,
-                np.column_stack([np.full(hits.size, i), i + 1 + hits]).tolist(),
-                np.column_stack([t_i[hits], t_j[hits]]).tolist())
-    return found
+            hit_a.append(np.full(hits.size, a))
+            hit_b.append(a + 1 + hits)
+            coef_a.append(t_a[hits])
+            coef_b.append(t_b[hits])
+    if not hit_a:
+        return []
+    hit_a, hit_b = np.concatenate(hit_a), np.concatenate(hit_b)
+    # member pair q of class pair h: row q // size_b of class a, q % size_b of b
+    members = np.argsort(label, kind="stable")
+    size = np.bincount(label)
+    start = np.cumsum(size) - size
+    count = size[hit_a] * size[hit_b]
+    h = np.repeat(np.arange(count.size), count)
+    q = np.arange(h.size) - np.repeat(np.cumsum(count) - count, count)
+    i = members[start[hit_a][h] + q // size[hit_b][h]]
+    j = members[start[hit_b][h] + q % size[hit_b][h]]
+    t_i = sign[i] * np.concatenate(coef_a)[h]
+    t_j = sign[j] * np.concatenate(coef_b)[h]
+    swap = i > j
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((hi, lo))
+    return _solution_list(
+        n_cols, zip(lo[order].tolist(), hi[order].tolist()),
+        zip(np.where(swap, t_j, t_i)[order].tolist(),
+            np.where(swap, t_i, t_j)[order].tolist()))
 
 
 def _size_one_hits(g, y, res_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
@@ -360,19 +431,29 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
 
     Every residual is the explicit norm ||y - Gamma_S t||, never
     ||y||^2 - t.(Gamma_S'y), which loses half the digits.  Size 1 uses the
-    closed-form coefficient of each column.  Size 2 solves the pairs
-    (i, j > i) of one column i at once, each 2x2 Gram system by Cramer's
-    rule; memory is O(N n).  Rank-deficient pairs (sigma_min/sigma_max <=
-    eps*max(N, 2), lstsq's default rcond) are skipped: two parallel columns
-    span at most the line of one of them, where size 1 has already looked,
-    so such a pair is never a minimal solution.
+    closed-form coefficient of each column.  Size 2 works over the classes
+    of columns equal up to sign (column_classes): a member is +-its class's
+    first column bit for bit, so a pair's Gram system and residual are
+    those of its classes' first columns, and its coefficients theirs times
+    the members' signs.  It solves the class pairs (a, b > a) of one class
+    a at once over the first columns, each 2x2 Gram system by Cramer's
+    rule, then expands each fitting class pair to its member pairs and
+    sorts them; memory is O(N n) plus the output.  A member pair sums its
+    residual's terms in class order, not column order, so only a residual
+    within rounding of the threshold could decide otherwise.  Pairs in one
+    class, and rank-deficient pairs (sigma_min/sigma_max <= eps*max(N, 2),
+    lstsq's default rcond), are skipped: two parallel columns span at most
+    the line of one of them, where size 1 has already looked, so such a
+    pair is never a minimal solution.
 
     The solutions skip SparseVector's checks, which hold by construction:
-    indices come from np.nonzero, so a support is sorted, distinct and in
-    range; the hit masks keep only nonzero coefficients; and a NaN or
-    infinite coefficient makes the residual NaN or infinite, which fails
-    residual <= threshold.  The list equals, object by object and in order,
-    what the checking constructor would build.
+    size-1 indices come from np.nonzero, and a pair is (min, max) of two
+    columns in different classes, so a support is sorted, distinct and in
+    range; the hit masks keep only nonzero coefficients, and a sign keeps
+    them nonzero; and a NaN or infinite coefficient makes the residual NaN
+    or infinite, which fails residual <= threshold.  The list equals,
+    object by object and in order, what the checking constructor would
+    build.
     """
     g, y = _system(gamma, y)
     n_rows, n_cols = g.shape
@@ -387,11 +468,10 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
     if d_max >= 1:
         hits, coef = _size_one_hits(g, y, res_tol)
         if hits.size:
-            return _solution_list(n_cols, hits[:, None].tolist(),
-                                  coef[hits, None].tolist())
+            return _solution_list(n_cols, zip(hits.tolist()),
+                                  zip(coef[hits].tolist()))
     if d_max == 2:
-        return _pair_solutions(g, y, np.einsum("ij,ij->j", g, g),
-                               g.T @ y, thresh)
+        return _pair_solutions(g, y, thresh)
     return []
 
 

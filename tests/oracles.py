@@ -267,6 +267,20 @@ def l0_pairs_loop(g, y, res_tol=1e-8):
     return found
 
 
+def classes_up_to_sign(g):
+    """Class label per column, numbered by first column: j and k share one
+    iff g[:, j] is g[:, k] or -g[:, k] bit for bit.  One dict over each
+    column's bytes and its negation's; no sorting, no sign rule."""
+    labels, seen, classes = [], {}, 0
+    for col in np.asarray(g, float).T:
+        label = seen.get(col.tobytes())
+        if label is None:
+            label = seen[col.tobytes()] = seen[(-col).tobytes()] = classes
+            classes += 1
+        labels.append(label)
+    return labels
+
+
 # ------------------------------------------------- compatibility minimum
 
 def compat_oracle(g, s_idx, sigma_vals, l_budget, grid=241):

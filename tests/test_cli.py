@@ -423,6 +423,21 @@ def test_sweep_infeasible_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_sweep_seed_range(tmp_path, capsys, seed):
+    # as sample's: a seed outside [0, 2^64) is refused, not masked
+    out = tmp_path / "x.csv"
+    assert cli.run(cell("--trials-list", "1", "--seed", seed, "--out",
+                        str(out), "--threads", "1")) == 1
+    assert (capsys.readouterr().err
+            == "error: seed must be a 64-bit unsigned integer\n")
+    assert not out.exists()
+    assert cli.run(["sample", "--N", "3", "--n", "100", "--seed", seed,
+                    "--law", "gaussian", "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == "error: seed must be a 64-bit unsigned integer\n")
+
+
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])
 @pytest.mark.parametrize("command", [
     cell("--trials-list", "1", "--seed", "1"),

@@ -9,7 +9,8 @@ from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
                               sample_matrix)
 from spikybp.recovery import (NOT_UNIQUE, UNIQUE, UNKNOWN, NoSolutionError,
                               RecoveryResult, SparseVector, basis_pursuit,
-                              certify_uniqueness, l0_brute_force,
+                              certify_uniqueness, column_classes,
+                              l0_brute_force,
                               read_vector_text, write_vector_text)
 
 import oracles
@@ -321,6 +322,58 @@ def test_uniqueness_matches_the_strict_dual_oracle():
     assert res.unique == UNIQUE and not res.minimizer.any()
 
 
+def test_uniqueness_bound_decides_without_an_lp(monkeypatch):
+    # ||c||_inf < 1 - tol bounds the strict-dual value, so these targets
+    # need no kernel LP; HiGHS's strict-dual value agrees with the verdict
+    g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20, 2)).entries
+
+    def no_lp(a, c):
+        raise AssertionError("kernel LP solved")
+
+    monkeypatch.setattr(rec, "_kernel_lp", no_lp)
+    for j in range(5):
+        for s in (1.0, -1.0):
+            y = s * g[:, j]
+            assert certify_uniqueness(g, y, basis_pursuit(g, y)).unique == UNIQUE
+            assert (oracles.strict_dual_value(g, [j], [s])
+                    < 1.0 - rec.UNIQUENESS_TOL)
+
+
+def test_uniqueness_lp_decides_past_the_bound(monkeypatch):
+    # ||c||_inf >= 1 - tol: one kernel LP runs and gives HiGHS's verdict,
+    # UNIQUE (the bound is loose there) or NOT_UNIQUE
+    kernel_lp, bounds = rec._kernel_lp, []
+
+    def counted(a, c):
+        bounds.append(float(np.abs(c).max()))
+        return kernel_lp(a, c)
+
+    monkeypatch.setattr(rec, "_kernel_lp", counted)
+    cases = []
+    for seed, j in ((0, 17), (2, 9), (2, 11)):
+        g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20,
+                                       seed)).entries
+        x = np.zeros(20)
+        x[j] = 1.0
+        cases.append((g, x))
+    g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 14, 0)).entries
+    for s_idx in ([0, 1, 2], [0, 5, 9], [2, 3, 4, 5, 6]):
+        x = np.zeros(14)
+        x[s_idx] = [1.0, -0.5, 2.0, 0.75, -1.25][:len(s_idx)]
+        cases.append((g, x))
+    verdicts = []
+    for g, x in cases:
+        bounds.clear()
+        res = certify_uniqueness(g, g @ x, RecoveryResult(x, np.abs(x).sum()))
+        assert len(bounds) == 1 and bounds[0] >= 1.0 - rec.UNIQUENESS_TOL
+        s_idx = np.flatnonzero(x)
+        value = oracles.strict_dual_value(g, s_idx, np.sign(x[s_idx]))
+        assert res.unique == (UNIQUE if value < 1.0 - rec.UNIQUENESS_TOL
+                              else NOT_UNIQUE)
+        verdicts.append(res.unique)
+    assert verdicts == [UNIQUE] * 3 + [NOT_UNIQUE] * 3
+
+
 def test_uniqueness_solves_one_lp(lp_count, tmp_path, capsys):
     mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20, seed=4))
     y = mat.entries[:, 3].copy()
@@ -428,11 +481,54 @@ def test_l0_size_one_finds_every_scaled_column(scale):
         assert (0,) in {s.support for s in sols}
 
 
+def _class_inputs():
+    """3 x 10^4 Gaussian, Rademacher and spiky draws, then small matrices
+    with zero, +-duplicate and signed-zero columns."""
+    plan = plan_parameters(3, 10**4)
+    for law in (ScalarLaw.gaussian(), ScalarLaw.rademacher(), plan.law()):
+        yield sample_matrix(EnsembleSpec(law, 3, 10**4, 2026)).entries
+    z = -0.0
+    yield np.array([[0.0, z, 0.0, z, 0.0, z, 0.0, 1.0, -1.0, 1.0],
+                    [0.0, z, z, 0.0, -1.0, 1.0, 1.0, 2.0, -2.0, 2.0],
+                    [0.0, z, 0.0, z, 2.0, -2.0, -2.0, 0.0, z, z]])
+    g = np.random.default_rng(3).standard_normal((4, 12))
+    g[:, [3, 7]] = -g[:, [1, 5]]
+    g[:, 9] = g[:, 1]
+    g[:, 10] = 0.0
+    g[:2, 11] = 0.0
+    yield g
+    yield g[:, :1]
+    yield g[:, :0]
+
+
+def test_column_classes():
+    for g in _class_inputs():
+        first, label, sign = column_classes(g)
+        assert (sign * g[:, first[label]]).tobytes() == g.tobytes()
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(label[first], np.arange(first.size))
+        assert set(sign.tolist()) <= {1.0, -1.0}
+        assert label.tolist() == oracles.classes_up_to_sign(g)
+    counts = [column_classes(g)[0].size for g in _class_inputs()]
+    # 2^(N-1) = 4 Rademacher sign patterns
+    assert counts[0] == 10**4 and counts[1] == 4 and counts[2] < 100
+    assert counts[3:] == [6, 9, 1, 0]
+    # (0, 0, 0) and (-0, -0, -0) are negations, as are (0, -0, 0) and
+    # (-0, 0, -0), and (0, -1, 2) and (-0, 1, -2); (0, 1, -2) is not the
+    # negation of (0, -1, 2), and (1, 2, -0) is not (1, 2, 0)
+    _, label, sign = column_classes(list(_class_inputs())[3])
+    assert label.tolist() == [0, 0, 1, 1, 2, 2, 3, 4, 4, 5]
+    assert sign.tolist() == [1, -1, 1, -1, 1, -1, 1, 1, -1, 1]
+
+
 def _pair_inputs():
     """Gaussian, Rademacher and spiky draws with a zero column and
-    +-duplicate columns, then a 3x400 spiky prefix, each with a target."""
+    +-duplicate columns, then a 3x400 spiky prefix and a 3x400 draw at a
+    forced delta = 0.2, whose classes up to sign have sizes from 1 to
+    about 60 and mixed signs, each with a target."""
     gen = np.random.default_rng(2026)
-    spiky = plan_parameters(3, 10**4).law()
+    plan = plan_parameters(3, 10**4)
+    spiky = plan.law()
     for n_rows in range(2, 7):
         for n_cols in (6, 17, 40):
             for law in (ScalarLaw.gaussian(), ScalarLaw.rademacher(),
@@ -450,6 +546,9 @@ def _pair_inputs():
     # as perfbench's l0_pairs workload builds it
     g = sample_matrix(EnsembleSpec(spiky, 3, 400, 2026)).entries
     a, b = np.random.default_rng(2026).choice(400, 2, replace=False)
+    yield g, g[:, a] + 0.5 * g[:, b]
+    g = sample_matrix(EnsembleSpec(ScalarLaw.spiky(0.2, plan.big_r), 3, 400,
+                                   2026)).entries
     yield g, g[:, a] + 0.5 * g[:, b]
 
 

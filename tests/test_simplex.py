@@ -263,13 +263,27 @@ def test_start_basis_must_be_feasible():
     assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
 
 
+def strict_dual_lp(g, x):
+    """(Q2'Gamma_C, c): the kernel LP certify_uniqueness builds at the
+    minimizer x, built as it builds it."""
+    on_s = np.abs(x) > simplex.FEAS_TOL * np.abs(x).max()
+    s_idx = np.nonzero(on_s)[0]
+    q, r = np.linalg.qr(g[:, s_idx], mode="complete")
+    k, g_c = s_idx.size, g[:, ~on_s]
+    return q[:, k:].T @ g_c, g_c.T @ (q[:, :k] @ np.linalg.solve(
+        r[:k].T, np.sign(x[s_idx])))
+
+
 def test_pivot_path_pins(lp_count):
     # (iterations, phase1_iterations, degenerate, bland) of three fixed
     # LPs at the benchmark's shapes; a kernel change that moves the pivot
     # path moves these
     g = np.random.default_rng(2026).standard_normal((10, 20))
     bp = recovery.basis_pursuit(g, g[:, 0])
-    recovery.certify_uniqueness(g, g[:, 0], bp)
+    # ||c||_inf decides this target with no LP, so its LP is solved here
+    assert (recovery.certify_uniqueness(g, g[:, 0], bp).unique
+            == recovery.UNIQUE)
+    recovery._kernel_lp(*strict_dual_lp(g, bp.minimizer))
     h = np.random.default_rng(2026).standard_normal((12, 64))
     recovery.basis_pursuit(h[:, 1:], h[:, 0])
     # a rank-deficient Gamma: phase 1 ends with an artificial basic at 0,
