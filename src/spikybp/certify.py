@@ -64,12 +64,7 @@ class CompatibilityValue:
 
 
 class CompatibilityError(RuntimeError):
-    """Frank-Wolfe did not reach gap_tol; carries the best value seen."""
-
-    def __init__(self, message: str, phi2_best: float, gap: float):
-        super().__init__(message)
-        self.phi2_best = phi2_best
-        self.gap = gap
+    """Frank-Wolfe did not reach gap_tol; the message gives the last gap."""
 
 
 def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
@@ -330,7 +325,7 @@ def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,
         if iters >= cap:
             raise CompatibilityError(
                 f"Frank-Wolfe gap {gap:.3e} above {gap_tol:.3e} "
-                f"after {cap} iterations", float(r @ r), gap)
+                f"after {cap} iterations")
         away_key = max(active, key=lambda k: (phi_at[k], k))
         gap_away = phi_at[away_key] - phi_beta
         if gap >= gap_away:

@@ -3,7 +3,7 @@
 The spiky law is z = eps*(1 + R*eta) with eps a Rademacher sign and eta a
 Bernoulli(delta) indicator: values +-1 with probability (1-delta)/2 each and
 +-(1+R) with probability delta/2 each.  Matrices draw entries iid from the
-normalized law x = z/||z||_L2 and scale every row by 1/sqrt(N) by default.
+normalized law x = z/||z||_L2 and scale every row by 1/sqrt(N).
 """
 
 from __future__ import annotations
@@ -182,7 +182,6 @@ class EnsembleSpec:
     n_rows: int
     n_cols: int
     seed: int
-    apply_row_scale: bool = True
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
@@ -192,7 +191,7 @@ class EnsembleSpec:
 
     @property
     def row_scale(self) -> float:
-        return 1.0 / math.sqrt(self.n_rows) if self.apply_row_scale else 1.0
+        return 1.0 / math.sqrt(self.n_rows)
 
 
 @dataclass

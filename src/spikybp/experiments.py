@@ -141,7 +141,7 @@ def _failure_cert(mat, mask) -> dict:
 def _l0_unique(mat, mask) -> dict:
     # columns parallel to column 1 are size-1 solutions too: the supports of
     # l0_brute_force(mat, y, 1), without its thousands of SparseVectors
-    hits, _ = recovery._size_one_hits(mat.entries, mat.entries[:, 0].copy())
+    hits = recovery._size_one_hits(mat.entries, mat.entries[:, 0].copy())[0]
     return dict(l0_unique=hits.tolist() == [0])
 
 

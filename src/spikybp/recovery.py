@@ -205,12 +205,9 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
         g_w = g[:, work]
         sol = simplex.solve(simplex.LinearProgram(
             np.ones(2 * work.size), np.hstack([g_w, -g_w]), y), basis)
+        price = np.abs(g.T @ sol.dual)
         if sol.status == simplex.OPTIMAL:
-            price = np.abs(g.T @ sol.dual) - 1.0
-        elif sol.status == simplex.INFEASIBLE:
-            price = np.abs(g.T @ sol.dual)
-        else:
-            raise RuntimeError(f"unexpected LP status {sol.status}")
+            price -= 1.0
         price[work] = 0.0  # the round's own test already passed these
         add = np.nonzero(price > simplex._DUAL_TOL)[0]
         if add.size == 0:
@@ -352,17 +349,17 @@ def _solution_list(n_cols: int, supports, values) -> list[SparseVector]:
     return found
 
 
-def _pair_solutions(g, y, thresh) -> list[SparseVector]:
+def _pair_solutions(g, y, thresh, norms2, dots) -> list[SparseVector]:
     """Every pair (i, j), i < j, whose columns fit y within thresh, in
     itertools order: class pairs solved over the representatives, then
-    expanded to their member pairs (see l0_brute_force)."""
+    expanded to their member pairs (see l0_brute_force), with
+    _size_one_hits' norms2 and dots."""
     n_rows, n_cols = g.shape
     first, label, sign = column_classes(g)
     reps = np.take(g, first, axis=1)  # C order, like g: g[:, first] is F order
     # products over every column, indexed: a product over a few
     # representatives can take another BLAS kernel and round differently
-    norms2 = np.einsum("ij,ij->j", g, g)[first]
-    dots = (g.T @ y)[first]
+    norms2, dots = norms2[first], dots[first]
     rcond2 = (np.finfo(np.float64).eps * max(n_rows, 2)) ** 2
     hit_a, hit_b, coef_a, coef_b = [], [], [], []
     for a in range(first.size - 1):
@@ -406,19 +403,21 @@ def _pair_solutions(g, y, thresh) -> list[SparseVector]:
             np.where(swap, t_i, t_j)[order].tolist()))
 
 
-def _size_one_hits(g, y, res_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """(hits, coef): the columns j whose closed-form coefficient coef[j]
-    fits y as l0_brute_force's size 1 does, in index order.  hits is empty
-    when y itself is within the threshold of 0, where the empty support is
-    the only minimal one."""
+def _size_one_hits(g, y, res_tol: float = 1e-8):
+    """(hits, coef, norms2, dots): the columns j whose coefficient
+    coef[j] = dots[j]/norms2[j] = a_j'y/||a_j||^2 fits y as l0_brute_force's
+    size 1 does, in index order.  hits is empty when y itself is within the
+    threshold of 0, where the empty support is the only minimal one."""
     norm_y = float(np.linalg.norm(y))
     thresh = res_tol * (1.0 + norm_y)
     norms2 = np.einsum("ij,ij->j", g, g)
+    dots = g.T @ y
     ok = (norms2 > 0.0) & (norm_y > thresh)
     coef = np.zeros(g.shape[1])
-    coef[ok] = (g.T @ y)[ok] / norms2[ok]
+    coef[ok] = dots[ok] / norms2[ok]
     res = np.linalg.norm(y[:, None] - g * coef, axis=0)
-    return np.nonzero(ok & (res <= thresh) & (coef != 0.0))[0], coef
+    hits = np.nonzero(ok & (res <= thresh) & (coef != 0.0))[0]
+    return hits, coef, norms2, dots
 
 
 def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVector]:
@@ -466,12 +465,12 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
     if norm_y <= thresh:
         return [SparseVector(n_cols, (), ())]
     if d_max >= 1:
-        hits, coef = _size_one_hits(g, y, res_tol)
+        hits, coef, norms2, dots = _size_one_hits(g, y, res_tol)
         if hits.size:
             return _solution_list(n_cols, zip(hits.tolist()),
                                   zip(coef[hits].tolist()))
-    if d_max == 2:
-        return _pair_solutions(g, y, thresh)
+        if d_max == 2:
+            return _pair_solutions(g, y, thresh, norms2, dots)
     return []
 
 

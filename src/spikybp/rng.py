@@ -13,12 +13,22 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: a 64-bit bijection with full avalanche."""
+def mix64(x):
+    """splitmix64 finalizer: a 64-bit bijection with full avalanche.
+
+    x is an int or a uint64 array, mixed elementwise: an array's products
+    wrap mod 2^64, and the masks do the same to an int's.  The first mask
+    copies, so the caller's array is left as it is and the rest works in
+    place."""
+    x = x & _M64
+    x ^= x >> 30
+    x *= _MIX1
     x &= _M64
-    x = ((x ^ (x >> 30)) * _MIX1) & _M64
-    x = ((x ^ (x >> 27)) * _MIX2) & _M64
-    return x ^ (x >> 31)
+    x ^= x >> 27
+    x *= _MIX2
+    x &= _M64
+    x ^= x >> 31
+    return x
 
 
 def mix_seed(seed: int, *parts: int) -> int:
@@ -43,10 +53,7 @@ def entry_words(seed: int, n_rows: int, n_cols: int) -> np.ndarray:
     ii = np.arange(n_rows, dtype=np.uint64)[:, None] << np.uint64(32)
     jj = np.arange(n_cols, dtype=np.uint64)[None, :]
     # counter (i<<32)|j is injective, so distinct entries get distinct words
-    x = s + ((ii | jj) + np.uint64(1)) * np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    return mix64(s + ((ii | jj) + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
 def words_to_uniform(u: np.ndarray) -> np.ndarray:

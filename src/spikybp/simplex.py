@@ -12,6 +12,9 @@ entering column (dgetrs).  m stays tiny, so an O(m^3) factorization per
 pivot is cheap, and there is no update drift to manage.  A singular basis
 raises numpy.linalg.LinAlgError.
 
+The status is OPTIMAL or INFEASIBLE.  Every cost the package builds is
+>= 0, so no LP is unbounded: an infinite step raises RuntimeError.
+
 Row i has an artificial column sign(b_i) e_i.  Phase 1 starts from the
 all-artificial basis, unless the caller passes a start basis: m column
 indices whose basic solution is feasible.  Every nonbasic variable is 0.
@@ -39,7 +42,6 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _DUAL_TOL = 1e-9      # reduced-cost threshold for entering candidates
 _PIVOT_TOL = 1e-10    # smallest usable ratio-test denominator
@@ -69,12 +71,7 @@ _getrf, _getrs = _LAPACK.dgetrf, _LAPACK.dgetrs
 
 
 class IterationLimitError(RuntimeError):
-    """Pivot cap exceeded; carries the best point seen so far."""
-
-    def __init__(self, message: str, x=None, objective_value=None):
-        super().__init__(message)
-        self.x = x
-        self.objective_value = objective_value
+    """Pivot cap exceeded; the message names the cap."""
 
 
 @dataclass
@@ -110,7 +107,8 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """iterations counts the pivots of both phases, and phase1_iterations
+    """status is OPTIMAL, or INFEASIBLE with x and objective_value None.
+    iterations counts the pivots of both phases, and phase1_iterations
     those of phase 1.  degenerate counts the pivots whose step is no longer
     than _DEGEN_TOL; bland is True once enough of them switched pricing to
     Bland's rule.  max_violation is the larger of max|A x - b| and
@@ -191,14 +189,12 @@ class _Simplex:
         self.pinned[k:] = ~self.basic[k:]
         self.basis = basis.copy()
 
-    def _phase(self, c: np.ndarray, phase1: bool) -> str:
-        k = self.k
+    def _phase(self, c: np.ndarray) -> None:
+        """Pivot to an optimal basis for cost c; an infinite step raises."""
         while True:
             if self.iterations >= self.cap:
                 raise IterationLimitError(
-                    f"simplex iteration cap {self.cap} exceeded",
-                    x=self.x[:k].copy(),
-                    objective_value=float(self.c_orig @ self.x[:k]))
+                    f"simplex iteration cap {self.cap} exceeded")
             bi = self.basis
             lu, piv, info = _getrf(self.a[:, bi])
             if info > 0:  # dgetrs would divide by the zero pivot silently
@@ -209,7 +205,7 @@ class _Simplex:
             d = c - self.a.T @ self.y
             cand = (d < -_DUAL_TOL) & ~self.basic & ~self.pinned
             if not cand.any():
-                return OPTIMAL
+                return
             if self.bland:
                 q = int(np.nonzero(cand)[0][0])
             else:
@@ -225,9 +221,8 @@ class _Simplex:
             np.maximum(ratio, 0.0, out=ratio)
             step = float(ratio.min())
             if not np.isfinite(step):
-                if phase1:
-                    raise RuntimeError("phase-1 objective unbounded; input is broken")
-                return UNBOUNDED
+                raise RuntimeError("objective unbounded below; the package "
+                                   "solves only LPs with a cost >= 0")
 
             self.iterations += 1
             if step <= _DEGEN_TOL:
@@ -240,7 +235,7 @@ class _Simplex:
             leave = int(bi[row])
             self.x[leave] = 0.0
             self.basic[leave] = False
-            if leave >= k:  # an artificial that left is never allowed back
+            if leave >= self.k:  # an artificial that left is never allowed back
                 self.pinned[leave] = True
             self.x[q] = step
             self.basic[q] = True
@@ -257,7 +252,7 @@ class _Simplex:
         m, k = self.m, self.k
         if np.any(self.basis >= k):  # phase 1 while an artificial is basic
             c1 = np.concatenate([np.zeros(k), np.ones(m)])
-            self._phase(c1, phase1=True)
+            self._phase(c1)
             self.phase1_iterations = self.iterations
             infeas = float(self.x[k:].sum())
             if infeas > FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)):
@@ -265,9 +260,7 @@ class _Simplex:
 
         self.pinned[k:] = True  # artificials pinned for phase 2
         c2 = np.concatenate([self.c_orig, np.zeros(m)])
-        status = self._phase(c2, phase1=False)
-        if status == UNBOUNDED:
-            return self._solution(UNBOUNDED)
+        self._phase(c2)
         x = self.x[:k].copy()
         resid = float(np.abs(self.a[:, :k] @ x - self.b).max(initial=0.0))
         breach = float(-x.min(initial=0.0))
@@ -282,7 +275,8 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     index space (j < n_vars a column of lp, n_vars + i the artificial of
     row i).  Every other variable starts at 0, and the artificials outside
     it start pinned.  Phase 1 then runs only if an artificial is basic.  A
-    singular or infeasible start basis raises ValueError."""
+    singular or infeasible start basis raises ValueError, an infinite step
+    RuntimeError and the pivot cap IterationLimitError."""
     if lp.n_rows < 1:
         raise ValueError("need at least one equality row")
     return _Simplex(lp, basis).run()

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spikybp import certify as ct, recovery, rng
+from spikybp import certify as ct, recovery, rng, simplex
 from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
                               sample_matrix)
 from spikybp.recovery import (SparseVector, basis_pursuit, certify_uniqueness,
@@ -365,6 +365,38 @@ def test_nsp_d2_halves_the_sign_patterns(lp_count):
         assert verdict.worst_signs[0] == 1
         assert verdict.worst_value == pytest.approx(
             oracles.nsp_worst_value(mat.entries, 2), abs=1e-9)
+
+
+def test_every_package_lp_has_a_nonnegative_cost(monkeypatch):
+    # the simplex has no unbounded status: an infinite step raises, which
+    # a cost >= 0 rules out.  Every LP the package builds goes through
+    # simplex.solve; record each one along every path that builds them.
+    lps, solve = [], simplex.solve
+
+    def recorded(lp, *args, **kwargs):
+        lps.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", recorded)
+    gauss = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 12, 7)).entries
+    spiky = sample_matrix(EnsembleSpec(plan_parameters(3, 2000).law(), 3,
+                                       2000, 5))
+    assert spiky.n_cols > recovery.SIFT_COLUMNS
+    # a target past the ||c||_inf bound: the kernel LP decides it
+    g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20, 0)).entries
+    x = np.zeros(20)
+    x[17] = 1.0
+    for call in (lambda: basis_pursuit(gauss, gauss[:, 0] - gauss[:, 1]),
+                 lambda: basis_pursuit(spiky, spiky.entries[:, 0].copy()),
+                 lambda: ct.er_failure_certificate(spiky, target(2000, 0)),
+                 lambda: ct.er_check_nsp(gauss, 1),
+                 lambda: ct.er_check_nsp(gauss, 2),
+                 lambda: certify_uniqueness(g, g @ x,
+                                            recovery.RecoveryResult(x, 1.0))):
+        before = len(lps)
+        call()
+        assert len(lps) > before
+    assert all(lp.objective.min() >= 0.0 for lp in lps)
 
 
 def test_verdict_format():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spikybp import ensemble as ens
+from spikybp import ensemble as ens, rng
 from spikybp.ensemble import (EnsembleSpec, MeasurementMatrix, ScalarLaw,
                               empirical_moment, evaluate_plan,
                               fourth_moment_linear_form,
@@ -148,11 +148,10 @@ def test_sample_matrix_shapes_and_scale():
     mat = sample_matrix(spec)
     assert mat.entries.shape == (3, 50)
     assert mat.row_scale == pytest.approx(1.0 / math.sqrt(3.0))
-    bare = sample_matrix(EnsembleSpec(ScalarLaw.spiky(0.2, 4.0), 3, 50,
-                                      seed=11, apply_row_scale=False))
-    assert bare.row_scale == 1.0
-    # entries carry the scale; same seed means proportional draws
-    assert np.allclose(mat.entries, mat.row_scale * bare.entries)
+    # entries carry the scale: times sqrt(N) they are the normalized draws
+    bare = (ens._raw_draws(spec.law, rng.entry_words(11, 3, 50))
+            / moment_lp_norm(spec.law, 2.0))
+    assert np.allclose(mat.entries * math.sqrt(3.0), bare)
 
 
 def test_sample_matrix_deterministic():
@@ -163,10 +162,10 @@ def test_sample_matrix_deterministic():
 
 def test_spiky_entries_take_exactly_four_values():
     law = ScalarLaw.spiky(0.3, 4.0)
-    mat = sample_matrix(EnsembleSpec(law, 5, 4000, seed=2,
-                                     apply_row_scale=False))
+    mat = sample_matrix(EnsembleSpec(law, 5, 4000, seed=2))
     nu = math.sqrt(0.7 + 0.3 * 25.0)  # L2 norm of the raw draw
-    vals = set(np.round(np.unique(np.abs(mat.entries)) * nu, 12))
+    bare = mat.entries * math.sqrt(5.0)
+    vals = set(np.round(np.unique(np.abs(bare)) * nu, 12))
     assert vals == {1.0, 5.0}
 
 
@@ -189,13 +188,12 @@ def test_mask_agrees_with_entry_magnitude():
 
 
 def test_rademacher_and_gaussian_matrices():
-    r = sample_matrix(EnsembleSpec(ScalarLaw.rademacher(), 3, 100, seed=1,
-                                   apply_row_scale=False))
-    assert set(np.unique(r.entries)) == {-1.0, 1.0}
-    g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 30, 300, seed=1,
-                                   apply_row_scale=False))
-    assert abs(g.entries.mean()) < 5.0 / math.sqrt(g.entries.size)
-    assert abs(g.entries.std() - 1.0) < 0.02
+    r = sample_matrix(EnsembleSpec(ScalarLaw.rademacher(), 3, 100, seed=1))
+    assert set(np.unique(r.entries * math.sqrt(3.0))) == {-1.0, 1.0}
+    g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 30, 300, seed=1))
+    bare = g.entries * math.sqrt(30.0)
+    assert abs(bare.mean()) < 5.0 / math.sqrt(bare.size)
+    assert abs(bare.std() - 1.0) < 0.02
 
 
 def test_empirical_moment_tracks_formula():

@@ -14,6 +14,16 @@ def test_mix_seed_is_splitmix_step():
         assert rng.mix_seed(seed) == oracles.splitmix64_reference(seed)
 
 
+def test_mix64_on_arrays_is_elementwise_and_leaves_its_input():
+    x = np.array([0, 1, 1 << 63, M64], dtype=np.uint64)
+    before = x.copy()
+    x.flags.writeable = False  # an in-place write would raise
+    out = rng.mix64(x)
+    assert out.dtype == np.uint64
+    assert [int(w) for w in out] == [rng.mix64(int(v)) for v in x]
+    assert np.array_equal(x, before)
+
+
 def test_entry_words_match_sequential_splitmix_stream():
     # row 0 is literally the first n_cols outputs of splitmix64 seeded
     # with mix_seed(seed)

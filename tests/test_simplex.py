@@ -4,8 +4,7 @@ import pytest
 from spikybp import recovery, rng, simplex
 from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
                               sample_matrix)
-from spikybp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                             solve)
+from spikybp.simplex import INFEASIBLE, OPTIMAL, LinearProgram, solve
 
 import oracles
 
@@ -66,9 +65,11 @@ def test_infeasible_negative_rhs():
 
 
 def test_unbounded():
-    # x - y = 0, min -x, both free upward
+    # x - y = 0, min -x, both free upward: a negative cost the package
+    # never builds, so the infinite step raises
     lp = LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [0.0])
-    assert solve(lp).status == UNBOUNDED
+    with pytest.raises(RuntimeError, match="unbounded"):
+        solve(lp)
 
 
 def test_beale_degenerate_cycle_guard():
@@ -191,8 +192,7 @@ def test_singular_basis_raises():
     run.basis[:] = 1
     x = run.x.copy()
     with pytest.raises(np.linalg.LinAlgError):
-        run._phase(np.concatenate([np.zeros(run.k), np.ones(run.m)]),
-                   phase1=True)
+        run._phase(np.concatenate([np.zeros(run.k), np.ones(run.m)]))
     assert np.array_equal(run.x, x) and run.iterations == 0
 
 
@@ -201,15 +201,13 @@ PINNED_BLOCK = LinearProgram([1.0, 1.0, 0.0], [[0.0, 2.0, 1.0],
                                                [0.0, 0.0, -1.0]], [1.0, 0.0])
 
 
-def test_iteration_cap_raises_with_the_last_point():
+def test_iteration_cap_raises():
     # the cap is checked before each pivot; this LP needs 2
     run = simplex._Simplex(PINNED_BLOCK)
     run.cap = 1
-    with pytest.raises(simplex.IterationLimitError, match="cap 1") as err:
+    with pytest.raises(simplex.IterationLimitError, match="cap 1"):
         run.run()
     assert run.iterations == 1
-    assert err.value.x.shape == (PINNED_BLOCK.n_vars,)
-    assert np.isfinite(err.value.objective_value)
 
 
 def split_lp(a, b):
