@@ -45,14 +45,15 @@ UNKNOWN = "unknown"
 UNIQUENESS_TOL = 1e-6
 
 # Columns in basis pursuit's first working set.  The simplex prices every
-# column on every pivot: a traced pivot costs about 1 ms on the
-# 3 x 2(10^4 - 1) LP of a theorem-a failure certificate, 0.16 ms with 256
-# columns.  Over first sets of 32 to 1024 columns, rounds per LP fall as
-# the set grows, and 256 or 512 keep pivots per LP near their least on
-# 12 x 10^4 spiky (R = 4) and 24 x 10^4 Gaussian draws; the time per LP
-# from 64 columns up differed by less than the host's noise
-# (BENCH_sifting.json).  Up to 256 columns the first round is the whole LP,
-# so the 10x20 and 12x63 LPs of the benchmark keep their pivot paths.
+# column on every pivot: a pivot costs about 185 us on a 3 x 2(10^4 - 1)
+# LP, as wide as a theorem-a failure certificate, and 25 us on a 3 x 1024
+# one (BENCH_pivot.json).  Over first sets of 32 to 1024 columns, rounds
+# per LP fall as the set grows, and 256 or 512 keep pivots per LP near
+# their least on 12 x 10^4 spiky (R = 4) and 24 x 10^4 Gaussian draws;
+# the time per LP from 64 columns up differed by less than the host's
+# noise (BENCH_sifting.json).  Up to 256 columns the first round is the
+# whole LP, so the 10x20 and 12x63 LPs of the benchmark keep their pivot
+# paths.
 SIFT_COLUMNS = 256
 
 
@@ -183,8 +184,9 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
     certificate for the full system: NoSolutionError.
 
     W starts as every column when there are at most SIFT_COLUMNS, so the
-    first round is the whole LP and pricing finds nothing; otherwise as
-    the SIFT_COLUMNS columns with the largest |a_j'y|.  W only grows.
+    first round is the whole LP and is the last, with no pricing product;
+    otherwise as the SIFT_COLUMNS columns with the largest |a_j'y|.  W only
+    grows, and a round on every column is the last.
 
     No round starts from the all-artificial basis unless it must.  The
     first starts from a crash basis (_crash_basis), and runs phase 1 only
@@ -200,11 +202,13 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
     else:
         work = np.sort(np.argpartition(-np.abs(g.T @ y), SIFT_COLUMNS)
                        [:SIFT_COLUMNS])
-    basis = _crash_basis(g[:, work], y)
+    g_w = g[:, work]
+    basis = _crash_basis(g_w, y)
     while True:
-        g_w = g[:, work]
         sol = simplex.solve(simplex.LinearProgram(
             np.ones(2 * work.size), np.hstack([g_w, -g_w]), y), basis)
+        if work.size == n_cols:  # the round's own test covered every column
+            break
         price = np.abs(g.T @ sol.dual)
         if sol.status == simplex.OPTIMAL:
             price -= 1.0
@@ -220,6 +224,7 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
         basis = np.concatenate([at, grown.size + at,
                                 2 * grown.size + np.arange(n_rows)])[sol.basis]
         work = grown
+        g_w = g[:, work]
     if sol.status == simplex.INFEASIBLE:
         raise NoSolutionError("y is not in the range of Gamma")
     t = np.zeros(n_cols)

@@ -10,7 +10,12 @@ factors the m x m basis afresh with one LAPACK LU (dgetrf) and reuses it
 for the three solves the pivot needs: the basic values, the duals and the
 entering column (dgetrs).  m stays tiny, so an O(m^3) factorization per
 pivot is cheap, and there is no update drift to manage.  A singular basis
-raises numpy.linalg.LinAlgError.
+raises numpy.linalg.LinAlgError.  Apart from those and the pricing product
+c - A'y, a pivot does little: the mask of columns that may enter is kept
+from pivot to pivot in the priced cost instead of being rebuilt, and the
+ratio test runs over the m rows on Python floats.  A pivot costs about
+21 us on the 12 x 126 LP of a 12 x 64 ER(1) verdict and 41 us at 40 x 512
+(BENCH_pivot.json).
 
 The status is OPTIMAL or INFEASIBLE.  Every cost the package builds is
 >= 0, so no LP is unbounded: an infinite step raises RuntimeError.
@@ -25,9 +30,10 @@ either way.  So with no artificial basic there is nothing for phase 1 to
 do and phase 2 starts at once.  The solution returns its final basis in
 the same index space, so a caller can start a related LP from it.
 
-Every column is priced on every pivot, so a pivot costs O(m k).  Basis
-pursuit over 10^4 columns therefore does not hand this solver the whole
-LP: recovery.basis_pursuit sifts, solving on a working set of columns and
+Every column is priced on every pivot, so a pivot costs O(m k): about
+185 us at 3 x 19998 against 25 us at 3 x 1024.  Basis pursuit over 10^4
+columns therefore does not hand this solver the whole LP:
+recovery.basis_pursuit sifts, solving on a working set of columns and
 pricing the rest once per round with the duals returned here.  Those are
 the phase-2 duals with OPTIMAL and the phase-1 duals with INFEASIBLE.
 """
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,8 +166,6 @@ class _Simplex:
         self.a[np.arange(m), k + np.arange(m)] = sgn
         self.x = np.zeros(total)
         self.x[k:] = np.abs(self.b)
-        self.basic = np.zeros(total, dtype=bool)
-        self.basic[k:] = True
         self.pinned = np.zeros(total, dtype=bool)  # artificials held at 0
         self.basis = np.arange(k, total)
         if basis is not None:
@@ -184,43 +189,56 @@ class _Simplex:
             raise ValueError("start basis is not primal feasible")
         self.x[:] = 0.0
         self.x[basis] = xb
-        self.basic[:] = False
-        self.basic[basis] = True
-        self.pinned[k:] = ~self.basic[k:]
+        self.pinned[k:] = True
+        self.pinned[basis] = False
         self.basis = basis.copy()
 
     def _phase(self, c: np.ndarray) -> None:
-        """Pivot to an optimal basis for cost c; an infinite step raises."""
+        """Pivot to an optimal basis for cost c; an infinite step raises.
+
+        A nonbasic, unpinned column may enter.  That mask is kept in the
+        priced cost itself, pivot by pivot: such a column costs c_j, every
+        other one +inf, so it is never a candidate.  Dantzig's column is
+        then the first minimum of the reduced costs, Bland's the first
+        below -_DUAL_TOL.  x is written when the phase ends."""
+        a, b, basis, pinned = self.a, self.b, self.basis, self.pinned
+        cost = np.where(pinned, np.inf, c)
+        cost[basis] = np.inf
+        order = basis.tolist()         # basis as Python ints, row by row
+        held = pinned[basis].tolist()  # rows holding a pinned artificial
         while True:
             if self.iterations >= self.cap:
                 raise IterationLimitError(
                     f"simplex iteration cap {self.cap} exceeded")
-            bi = self.basis
-            lu, piv, info = _getrf(self.a[:, bi])
+            lu, piv, info = _getrf(a[:, basis])
             if info > 0:  # dgetrs would divide by the zero pivot silently
                 raise np.linalg.LinAlgError("singular basis matrix")
-            xb = _getrs(lu, piv, self.b)[0]  # every nonbasic variable is 0
-            self.x[bi] = xb
-            self.y = _getrs(lu, piv, c[bi], trans=1)[0]
-            d = c - self.a.T @ self.y
-            cand = (d < -_DUAL_TOL) & ~self.basic & ~self.pinned
-            if not cand.any():
-                return
+            xb = _getrs(lu, piv, b)[0]  # every nonbasic variable is 0
+            self.y = _getrs(lu, piv, c[basis], trans=1)[0]
+            d = cost - a.T @ self.y
             if self.bland:
-                q = int(np.nonzero(cand)[0][0])
+                q = int((d < -_DUAL_TOL).argmax())
             else:
-                q = int(np.argmax(np.where(cand, np.abs(d), -1.0)))
+                q = int(d.argmin())
+                if d[q] != d[q]:  # argmin stops at a NaN, never a candidate
+                    d[np.isnan(d)] = np.inf
+                    q = int(d.argmin())
+            if not d[q] < -_DUAL_TOL:
+                self.x[:] = 0.0
+                self.x[basis] = xb
+                return
             # basic values move by -delta * step
-            delta = _getrs(lu, piv, self.a[:, q])[0]
+            delta = _getrs(lu, piv, a[:, q])[0].tolist()
+            xs = xb.tolist()
 
-            # a pinned basic artificial blocks the step on either side
-            ratio = np.full(self.m, np.inf)
-            blocks = ((delta > _PIVOT_TOL)
-                      | ((delta < -_PIVOT_TOL) & self.pinned[bi]))
-            np.divide(xb, delta, out=ratio, where=blocks)
-            np.maximum(ratio, 0.0, out=ratio)
-            step = float(ratio.min())
-            if not np.isfinite(step):
+            # row i blocks the step where delta_i > 0, and a pinned basic
+            # artificial blocks it on either side; each ratio is clamped
+            # at 0, which min and the tie band below commute with
+            rows = [i for i, v in enumerate(delta)
+                    if v > _PIVOT_TOL or (v < -_PIVOT_TOL and held[i])]
+            ratio = [xs[i] / delta[i] for i in rows]
+            step = max(min(ratio, default=math.inf), 0.0)
+            if not step < math.inf or any(map(math.isnan, ratio)):
                 raise RuntimeError("objective unbounded below; the package "
                                    "solves only LPs with a cost >= 0")
 
@@ -230,16 +248,18 @@ class _Simplex:
                 if self.degenerate > self.bland_after:
                     self.bland = True
 
-            rows = np.nonzero(ratio <= step + 1e-12 * (1.0 + step))[0]
-            row = int(rows[np.argmin(bi[rows])])  # lowest-index leaving variable
-            leave = int(bi[row])
-            self.x[leave] = 0.0
-            self.basic[leave] = False
+            # the lowest-index leaving variable among the tied rows
+            band = step + 1e-12 * (1.0 + step)
+            leave = min([order[i] for i, r in zip(rows, ratio) if r <= band])
+            row = order.index(leave)
             if leave >= self.k:  # an artificial that left is never allowed back
-                self.pinned[leave] = True
-            self.x[q] = step
-            self.basic[q] = True
-            self.basis[row] = q
+                pinned[leave] = True
+            else:
+                cost[leave] = c[leave]
+            cost[q] = np.inf
+            order[row] = q
+            held[row] = False
+            basis[row] = q
 
     def _solution(self, status, x=None, objective_value=None,
                   **kw) -> LpSolution:

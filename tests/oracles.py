@@ -4,10 +4,11 @@ Nothing in here imports the package's code; mp_plan reads only its constant
 C2_LOWER, an input to the planner's formulas.  Moments go through mpmath
 at 50 digits, box-bounded linear programs through brute-force vertex
 enumeration or HiGHS (box_to_standard gives the solver's form of one),
-probabilities through numpy.random Monte Carlo, the compatibility
-minimum through a dense grid plus an SLSQP polish (and, bit for bit,
-through Frank-Wolfe over every column), and l0 pairs through one dense
-solve per pair.  Slow is fine.
+simplex pivots through a loop that keeps its bookkeeping in arrays
+(reference_solve), probabilities through numpy.random Monte Carlo, the
+compatibility minimum through a dense grid plus an SLSQP polish (and, bit
+for bit, through Frank-Wolfe over every column), and l0 pairs through one
+dense solve per pair.  Slow is fine.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import linprog, minimize
 
 from spikybp.ensemble import C2_LOWER
@@ -157,6 +159,125 @@ def box_to_standard(c, a_eq, b_eq, lower, upper):
     b_std = np.concatenate([np.asarray(b_eq, float) - a_eq @ lower,
                             upper - lower])
     return np.concatenate([c, np.zeros(k)]), a_std, b_std, float(c @ lower)
+
+
+class IterationLimitError(RuntimeError):
+    """reference_solve's pivot cap; the message names the cap."""
+
+
+def reference_solve(lp, basis=None) -> dict:
+    """The two-phase simplex of spikybp.simplex.solve with its bookkeeping
+    in arrays: every pivot rebuilds the entering mask ~basic & ~pinned,
+    takes the first maximum of |d| over the candidates (Bland's rule: the
+    first candidate) and runs the ratio test on arrays, then picks the
+    lowest basis index among the tied rows.  lp has objective, eq_matrix
+    and eq_rhs.
+
+    Returns the LpSolution fields as a dict; raises what solve raises,
+    with this module's IterationLimitError for the pivot cap.  The same
+    LAPACK routines do the same arithmetic, so every field should match
+    solve's bit for bit.
+    """
+    dual_tol, pivot_tol, degen_tol, feas_tol = 1e-9, 1e-10, 1e-12, 1e-9
+    c_orig = np.asarray(lp.objective, float)
+    m, k = np.shape(lp.eq_matrix)
+    total = k + m
+    a = np.zeros((m, total))
+    a[:, :k] = lp.eq_matrix
+    b = np.array(lp.eq_rhs, float)
+    a[np.arange(m), k + np.arange(m)] = np.where(b >= 0.0, 1.0, -1.0)
+    st = {"iterations": 0, "degenerate": 0, "bland": False, "y": None}
+    cap = 50 * (m + k) ** 2
+    bland_after = min(3 * (m + k), 50 * m)
+    x = np.zeros(total)
+    x[k:] = np.abs(b)
+    basic = np.zeros(total, dtype=bool)
+    basic[k:] = True
+    pinned = np.zeros(total, dtype=bool)
+    bi = np.arange(k, total)
+    b_tol = feas_tol * (1.0 + np.abs(b).max(initial=0.0))
+    if basis is not None:
+        basis = np.asarray(basis, dtype=np.intp)
+        if basis.shape != (m,) or np.any((basis < 0) | (basis >= total)):
+            raise ValueError(f"start basis must be {m} indices below {total}")
+        lu, piv, info = dgetrf(a[:, basis])
+        if info > 0:
+            raise ValueError("start basis is singular")
+        xb = dgetrs(lu, piv, b)[0]
+        if np.any(xb < -b_tol):
+            raise ValueError("start basis is not primal feasible")
+        x[:] = 0.0
+        x[basis] = xb
+        basic[:] = False
+        basic[basis] = True
+        pinned[k:] = ~basic[k:]
+        bi = basis.copy()
+
+    def phase(c):
+        while True:
+            if st["iterations"] >= cap:
+                raise IterationLimitError(
+                    f"simplex iteration cap {cap} exceeded")
+            lu, piv, info = dgetrf(a[:, bi])
+            if info > 0:
+                raise np.linalg.LinAlgError("singular basis matrix")
+            xb = dgetrs(lu, piv, b)[0]
+            x[bi] = xb
+            st["y"] = dgetrs(lu, piv, c[bi], trans=1)[0]
+            d = c - a.T @ st["y"]
+            cand = (d < -dual_tol) & ~basic & ~pinned
+            if not cand.any():
+                return
+            if st["bland"]:
+                q = int(np.nonzero(cand)[0][0])
+            else:
+                q = int(np.argmax(np.where(cand, np.abs(d), -1.0)))
+            delta = dgetrs(lu, piv, a[:, q])[0]
+            ratio = np.full(m, np.inf)
+            blocks = ((delta > pivot_tol)
+                      | ((delta < -pivot_tol) & pinned[bi]))
+            np.divide(xb, delta, out=ratio, where=blocks)
+            np.maximum(ratio, 0.0, out=ratio)
+            step = float(ratio.min())
+            if not np.isfinite(step):
+                raise RuntimeError("objective unbounded below; the package "
+                                   "solves only LPs with a cost >= 0")
+            st["iterations"] += 1
+            if step <= degen_tol:
+                st["degenerate"] += 1
+                if st["degenerate"] > bland_after:
+                    st["bland"] = True
+            rows = np.nonzero(ratio <= step + 1e-12 * (1.0 + step))[0]
+            row = int(rows[np.argmin(bi[rows])])
+            leave = int(bi[row])
+            x[leave] = 0.0
+            basic[leave] = False
+            if leave >= k:
+                pinned[leave] = True
+            x[q] = step
+            basic[q] = True
+            bi[row] = q
+
+    def solution(status, xk=None, value=None, violation=0.0, phase1=0):
+        return {"status": status, "x": xk, "objective_value": value,
+                "iterations": st["iterations"], "dual": st["y"],
+                "max_violation": violation, "phase1_iterations": phase1,
+                "degenerate": st["degenerate"], "bland": st["bland"],
+                "basis": bi.copy()}
+
+    phase1 = 0
+    if np.any(bi >= k):
+        phase(np.concatenate([np.zeros(k), np.ones(m)]))
+        phase1 = st["iterations"]
+        if float(x[k:].sum()) > b_tol:
+            return solution("infeasible", phase1=phase1)
+    pinned[k:] = True
+    phase(np.concatenate([c_orig, np.zeros(m)]))
+    xk = x[:k].copy()
+    resid = float(np.abs(a[:, :k] @ xk - b).max(initial=0.0))
+    breach = float(-xk.min(initial=0.0))
+    return solution("optimal", xk, float(c_orig @ xk), max(resid, breach),
+                    phase1)
 
 
 def er1_representation_norms(g):

@@ -343,6 +343,82 @@ def test_sifting_shortens_the_tie(lp_count):
     assert sum(s.iterations for s in lp_count) <= 48
 
 
+def same_bits(u, v) -> bool:
+    """u and v have one type and, for floats and arrays, the same bytes."""
+    if type(u) is not type(v):
+        return False
+    if isinstance(u, np.ndarray):
+        return (u.dtype == v.dtype and u.shape == v.shape
+                and u.tobytes() == v.tobytes())
+    if isinstance(u, float):
+        return np.float64(u).tobytes() == np.float64(v).tobytes()
+    return u == v
+
+
+def outcome(run, lp, basis=None):
+    """The fields of run(lp, basis) as a dict, or the exception's type name
+    and message."""
+    try:
+        sol = run(lp, basis)
+    except (ValueError, RuntimeError) as err:  # LinAlgError is a ValueError
+        return type(err).__name__, str(err)
+    return sol if isinstance(sol, dict) else dict(vars(sol))
+
+
+def test_kernel_matches_reference_bitwise():
+    # the pivot loop keeps its entering mask and runs the ratio test on
+    # Python floats; oracles.reference_solve rebuilds both with arrays on
+    # every pivot.  Every field, and every exception, must agree bit for bit
+    lps = []
+    for seed, make, count in ((1234, random_lp, 150), (909, degenerate_lp, 60)):
+        gen = np.random.default_rng(seed)
+        for i in range(count):
+            box = (random_lp(gen, force_feasible=(i % 2 == 0))
+                   if make is random_lp else degenerate_lp(gen, i % 3))
+            lps.append((standard(box)[0], None))
+    # least-l1 representations of each column of four 12 x 64 Gaussian
+    # draws, from the artificial basis and from the crash basis
+    for t in range(4):
+        g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 12, 64,
+                                       rng.mix_seed(2026, t))).entries
+        for j in range(64):
+            rest = np.delete(g, j, axis=1)
+            lp = split_lp(rest, g[:, j])
+            lps += [(lp, None), (lp, recovery._crash_basis(rest, g[:, j]))]
+    r = np.random.default_rng(2026).standard_normal((6, 30))
+    r[5] = r[0] - 2 * r[1]
+    bp = recovery.basis_pursuit(r, r[:, 0])
+    a, c = strict_dual_lp(r, bp.minimizer)
+    e_last = np.zeros(a.shape[0] + 1)
+    e_last[-1] = 1.0
+    g, y = stalled_tie()
+    lps += [(split_lp(r, r[:, 0]), None),
+            (split_lp(np.vstack([a, c]), e_last), None),
+            (PINNED_BLOCK, None),
+            (split_lp(g, y), None),                       # Bland's rule
+            (LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [0.0]), None),
+            (split_lp(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
+                      np.array([1.0, 1.0])), [0, 1]),     # singular start
+            (split_lp(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+                      np.array([-1.0, 1.0])), [0, 1])]    # infeasible start
+    kinds = set()
+    for i, (lp, basis) in enumerate(lps):
+        got = outcome(solve, lp, basis)
+        want = outcome(oracles.reference_solve, lp, basis)
+        if isinstance(want, tuple):
+            assert got == want, f"LP {i}"
+            kinds.add(want[0])
+            continue
+        assert set(got) == set(want), f"LP {i}"
+        for name in want:
+            assert same_bits(got[name], want[name]), f"LP {i}: {name}"
+        kinds.add(want["status"])
+        kinds.update(key for key in ("bland", "degenerate") if want[key])
+    # the LPs reach both verdicts, zero steps, Bland's rule and each raise
+    assert {OPTIMAL, INFEASIBLE, "bland", "degenerate", "RuntimeError",
+            "ValueError"} <= kinds
+
+
 def test_infeasible_returns_phase1_duals():
     # b is off the range of A, and the split [A, -A] makes every column
     # movable both ways: the phase-1 duals y have A'y ~ 0 and y'b > 0
