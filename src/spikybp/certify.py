@@ -29,6 +29,7 @@ from .recovery import NoSolutionError, SparseVector, _entries, _kernel_lp
 from .simplex import FEAS_TOL
 
 STRICT_MARGIN_TOL = 1e-7
+FAILURE_TAU = 1.0 + FEAS_TOL  # r <= this is a failure certificate, ties too
 
 # Most sign vectors width_bound_check enumerates: N <= 17, with two
 # N x 2^(N-1) arrays of about 9 MB each at the limit.
@@ -72,7 +73,7 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
 
     This is basis pursuit on the columns off supp(v), so l1_witness is the
     least l1 norm r of such a representation.  Returns None when
-    r > 1 + simplex.FEAS_TOL (so a tie, r = 1, is a certificate) or no such
+    r > FAILURE_TAU (so a tie, r = 1, is a certificate) or no such
     w exists.  At a 1-sparse v, None proves v the unique basis-pursuit
     minimizer; at a wider v it proves nothing, and er_check_nsp decides.
     """
@@ -90,7 +91,7 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
         result = recovery.basis_pursuit(g[:, comp], y)
     except NoSolutionError:
         return None
-    if result.l1_value > 1.0 + FEAS_TOL:
+    if result.l1_value > FAILURE_TAU:
         return None
     return certificate_from(g, v, result)
 
@@ -137,7 +138,7 @@ def er1_search(gamma, tau: float | None = None):
 
     tau=None (er_check_nsp) finds the least r_j, solving columns by
     increasing lower bound until the next bound reaches it; (0, inf, None)
-    if every r_j is inf.  tau = 1 + simplex.FEAS_TOL (the theorem-a trial)
+    if every r_j is inf.  tau = FAILURE_TAU (the theorem-a trial)
     finds the first j in index order with r_j <= tau, else (None, inf, None).
     """
     g = _entries(gamma)

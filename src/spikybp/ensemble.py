@@ -207,8 +207,8 @@ class MeasurementMatrix:
             raise ValueError("entries shape does not match (n_rows, n_cols)")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("entries must be finite")
-        if self.row_scale <= 0.0:
-            raise ValueError("row_scale must be positive")
+        if not 0.0 < self.row_scale < math.inf:
+            raise ValueError("row_scale must be positive and finite")
 
 
 def _raw_draws(law: ScalarLaw, words: np.ndarray) -> np.ndarray:

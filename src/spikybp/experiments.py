@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import certify, recovery, rng, simplex
+from . import certify, recovery, rng
 from .ensemble import (EnsembleSpec, ParameterPlan, ScalarLaw, evaluate_plan,
                        plan_parameters, sample_matrix, sample_spike_mask)
 
@@ -130,7 +130,7 @@ def _spike_event_all_rows(mask: np.ndarray) -> bool:
 
 
 def _failure_cert(mat, mask) -> dict:
-    j, _, result = certify.er1_search(mat, 1.0 + simplex.FEAS_TOL)
+    j, _, result = certify.er1_search(mat, certify.FAILURE_TAU)
     if result is None:
         return dict(failure_found=False)
     cert = certify.certificate_from(

@@ -20,15 +20,15 @@ ratio test runs over the m rows on Python floats.  A pivot costs about
 The status is OPTIMAL or INFEASIBLE.  Every cost the package builds is
 >= 0, so no LP is unbounded: an infinite step raises RuntimeError.
 
-Row i has an artificial column sign(b_i) e_i.  Phase 1 starts from the
-all-artificial basis, unless the caller passes a start basis: m column
-indices whose basic solution is feasible.  Every nonbasic variable is 0.
-An artificial is pinned at 0 once it leaves the basis, or if it is outside
-the start basis, and in phase 2 every artificial is pinned: it never
-enters, and while still basic (a rank-deficient A) it may not move off 0
-either way.  So with no artificial basic there is nothing for phase 1 to
-do and phase 2 starts at once.  The solution returns its final basis in
-the same index space, so a caller can start a related LP from it.
+Row i has an artificial column sign(b_i) e_i.  Every solve starts from a
+start basis, m column indices whose basic solution is feasible: by default
+the all-artificial one, with basic values |b|.  Every nonbasic variable is
+0.  An artificial is pinned at 0 once it leaves the basis, or if it is
+outside the start basis, and in phase 2 every artificial is pinned: it
+never enters, and while still basic (a rank-deficient A) it may not move
+off 0 either way.  So with no artificial basic there is nothing for phase
+1 to do and phase 2 starts at once.  The solution returns its final basis
+in the same index space, so a caller can start a related LP from it.
 
 Every column is priced on every pivot, so a pivot costs O(m k): about
 185 us at 3 x 19998 against 25 us at 3 x 1024.  Basis pursuit over 10^4
@@ -164,18 +164,17 @@ class _Simplex:
         # artificial column i is sign(b_i)*e_i so its start value |b_i| >= 0
         sgn = np.where(self.b >= 0.0, 1.0, -1.0)
         self.a[np.arange(m), k + np.arange(m)] = sgn
-        self.x = np.zeros(total)
-        self.x[k:] = np.abs(self.b)
+        self.x = np.zeros(total)  # written by _phase when a phase ends
         self.pinned = np.zeros(total, dtype=bool)  # artificials held at 0
-        self.basis = np.arange(k, total)
-        if basis is not None:
-            self._start_from(basis)
+        self.feas_tol = FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
+        self._start_from(np.arange(k, total) if basis is None else basis)
 
     def _start_from(self, basis) -> None:
-        """Make the given m columns the basis; the other artificials leave
-        at 0, as if phase 1 had pivoted them out.  A singular basis, or one
-        with a basic value below -FEAS_TOL*(1 + max|b|), is a caller error:
-        ValueError, before any pivot."""
+        """Make the given m columns the basis; the artificials outside it
+        are pinned at 0, as if phase 1 had pivoted them out (none for the
+        all-artificial basis).  A singular basis, or one with a basic value
+        below -self.feas_tol, is a caller error: ValueError, before any
+        pivot."""
         m, k = self.m, self.k
         basis = np.asarray(basis, dtype=np.intp)
         if basis.shape != (m,) or np.any((basis < 0) | (basis >= k + m)):
@@ -183,12 +182,8 @@ class _Simplex:
         lu, piv, info = _getrf(self.a[:, basis])
         if info > 0:
             raise ValueError("start basis is singular")
-        xb = _getrs(lu, piv, self.b)[0]
-        tol = FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
-        if np.any(xb < -tol):
+        if np.any(_getrs(lu, piv, self.b)[0] < -self.feas_tol):
             raise ValueError("start basis is not primal feasible")
-        self.x[:] = 0.0
-        self.x[basis] = xb
         self.pinned[k:] = True
         self.pinned[basis] = False
         self.basis = basis.copy()
@@ -274,8 +269,7 @@ class _Simplex:
             c1 = np.concatenate([np.zeros(k), np.ones(m)])
             self._phase(c1)
             self.phase1_iterations = self.iterations
-            infeas = float(self.x[k:].sum())
-            if infeas > FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)):
+            if float(self.x[k:].sum()) > self.feas_tol:
                 return self._solution(INFEASIBLE, dual=self.y)
 
         self.pinned[k:] = True  # artificials pinned for phase 2
@@ -291,12 +285,13 @@ class _Simplex:
 def solve(lp: LinearProgram, basis=None) -> LpSolution:
     """Two-phase simplex; Dantzig pricing, Bland's rule after cycling stalls.
 
-    basis, if given, is the start basis: m indices in LpSolution.basis's
-    index space (j < n_vars a column of lp, n_vars + i the artificial of
-    row i).  Every other variable starts at 0, and the artificials outside
-    it start pinned.  Phase 1 then runs only if an artificial is basic.  A
-    singular or infeasible start basis raises ValueError, an infinite step
-    RuntimeError and the pivot cap IterationLimitError."""
+    basis is the start basis: m indices in LpSolution.basis's index space
+    (j < n_vars a column of lp, n_vars + i the artificial of row i), by
+    default the all-artificial one, n_vars + arange(n_rows).  Every other
+    variable starts at 0, and the artificials outside it start pinned.
+    Phase 1 runs only if an artificial is basic.  A singular or infeasible
+    start basis raises ValueError, an infinite step RuntimeError and the
+    pivot cap IterationLimitError."""
     if lp.n_rows < 1:
         raise ValueError("need at least one equality row")
     return _Simplex(lp, basis).run()

@@ -92,12 +92,18 @@ def test_certificate_is_the_least_l1_representation():
                                         (1.1e-9, False), (2e-9, False)])
 def test_certificate_tie_margin_is_feas_tol(eps, found):
     # the only representation of e_0 off its support has r = 1 + eps; a tie
-    # counts as a failure up to r <= 1 + simplex.FEAS_TOL = 1 + 1e-9
+    # counts as a failure up to r <= ct.FAILURE_TAU = 1 + simplex.FEAS_TOL
     g = np.array([[1.0, 1.0 / (1.0 + eps)], [0.0, 0.0]])
     cert = ct.er_failure_certificate(g, target(2, 0))
     assert (cert is not None) == found
     if found:
         assert cert.l1_witness == pytest.approx(1.0 + eps, abs=1e-15)
+    # the trial's search takes the same decision at column 0 (past it,
+    # column 1 has r = 1/(1 + eps) < 1)
+    j, r, _ = ct.er1_search(g, ct.FAILURE_TAU)
+    assert (j == 0) == found
+    if found:
+        assert r == cert.l1_witness
 
 
 def test_certificate_validation():

@@ -40,17 +40,17 @@ def test_law_constructors_and_guards():
 
 
 def test_moment_lp_norm_oracle_values():
-    # mpmath at 50 digits, frozen
-    assert close(moment_lp_norm(ScalarLaw.spiky(0.25, 3.0), 4.0),
-                 2.836677364402857)
-    assert close(moment_lp_norm(ScalarLaw.spiky(1e-4, 9.0), 7.5),
-                 2.928768017859725)
-    assert close(moment_lp_norm(ScalarLaw.gaussian(), 4.0),
-                 1.3160740129524924)
-    assert close(moment_lp_norm(ScalarLaw.gaussian(), 3.0),
-                 1.1685752549624655)
+    # mpmath at 50 digits; the Gaussian moment by its closed form and by
+    # quadrature
+    for delta, big_r, p in ((0.25, 3.0, 4.0), (1e-4, 9.0, 7.5)):
+        assert close(moment_lp_norm(ScalarLaw.spiky(delta, big_r), p),
+                     oracles.mp_spiky_lp(delta, big_r, p))
+    for p in (3.0, 4.0):
+        got = moment_lp_norm(ScalarLaw.gaussian(), p)
+        assert close(got, oracles.mp_gaussian_lp(p))
+        assert close(got, oracles.quad_gaussian_lp(p))
     assert close(moment_lp_norm(ScalarLaw.gaussian(), 8.38361309715754),
-                 1.8281364499817216)
+                 oracles.mp_gaussian_lp(8.38361309715754))
     assert moment_lp_norm(ScalarLaw.rademacher(), 11.0) == 1.0
     assert moment_lp_norm(ScalarLaw.gaussian(), 2.0) == pytest.approx(1.0,
                                                                       abs=1e-15)
@@ -133,8 +133,8 @@ def test_plan_law_roundtrip():
 
 def test_max_rows_theorem_a_prime():
     p = 8.383613097157538
-    assert close(max_rows_theorem_a_prime(10**4, p), 8.68634087947381,
-                 rel=1e-13)
+    assert close(max_rows_theorem_a_prime(10**4, p),
+                 oracles.mp_max_rows(10**4, p), rel=1e-13)
     with pytest.raises(ValueError):
         max_rows_theorem_a_prime(1, 4.0)
     with pytest.raises(ValueError):
@@ -258,6 +258,14 @@ def test_matrix_file_rejects_shape_mismatch(tmp_path):
     lines = ["2 3 1.0", "1 0 0", "0 1 0", "0 0 1"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
+        read_matrix_text(path)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_matrix_file_rejects_nonfinite_scale(tmp_path, scale):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 2 {scale}\n1 0\n0 1\n")
+    with pytest.raises(ValueError, match="positive and finite"):
         read_matrix_text(path)
 
 

@@ -101,6 +101,13 @@ def test_beale_degenerate_cycle_guard():
     assert bland.objective_value == pytest.approx(val, abs=1e-9)
 
 
+def starts_from_artificials(lp, sol) -> bool:
+    """solve with the all-artificial start basis passed explicitly returns
+    sol to the bit: with no basis given, solve starts from that one."""
+    got = vars(solve(lp, np.arange(lp.n_vars, lp.n_vars + lp.n_rows)))
+    return all(same_bits(got[name], v) for name, v in vars(sol).items())
+
+
 def test_random_battery_vs_scipy():
     gen = np.random.default_rng(1234)
     statuses = {"optimal": 0, "infeasible": 0}
@@ -108,6 +115,7 @@ def test_random_battery_vs_scipy():
         box = random_lp(gen, force_feasible=(i % 2 == 0))
         lp, offset = standard(box)
         sol = solve(lp)
+        assert starts_from_artificials(lp, sol), f"case {i}"
         st, val = oracles.lp_scipy(*box)
         if st == "optimal":
             assert sol.status == OPTIMAL, f"case {i}"
@@ -170,6 +178,7 @@ def test_degenerate_battery_vs_vertex_enumeration():
         box = degenerate_lp(gen, i % 3)
         lp, offset = standard(box)
         sol = solve(lp)
+        assert starts_from_artificials(lp, sol), f"case {i}"
         st, val = oracles.lp_vertex_oracle(*box)
         assert sol.status == st, f"case {i}"
         if st == "optimal":
