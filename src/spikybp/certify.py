@@ -10,10 +10,10 @@ iff for every kernel vector h and every |S| = d, ||h_S||_1 < ||h_{S^c}||_1,
 i.e. iff max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} < 1/2.  For d = 1
 that maximum is 1/(1 + min_j r_j), with r_j the least l1 norm of a
 representation of column j by the others (a kernel vector h with
-h_j = -1 has ||h_{-j}||_1 >= r_j); er1_search also answers the theorem-a
-trial's question, the first j with r_j <= 1.  For d = 2 one kernel LP per
-pair and sign pattern, up to h -> -h, gives the maximum; each is basis
-pursuit on [Gamma; c'] (recovery._kernel_lp).
+h_j = -1 has ||h_{-j}||_1 >= r_j), found by er1_search.  first_failure
+finds the trial's first j with r_j <= 1 through er_failure_certificate,
+the one builder of certificates.  For d = 2 one kernel LP per pair and
+sign pattern, up to h -> -h, gives the maximum (recovery._kernel_lp).
 """
 
 from __future__ import annotations
@@ -93,16 +93,23 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
         return None
     if result.l1_value > FAILURE_TAU:
         return None
-    return certificate_from(g, v, result)
-
-
-def certificate_from(g, v: SparseVector, result) -> FailureCertificate:
-    """v's certificate from basis pursuit's result on the columns off v."""
-    w = np.zeros(g.shape[1])
-    w[np.delete(np.arange(g.shape[1]), v.support)] = result.minimizer
-    y = g[:, list(v.support)] @ np.array(v.values)
+    w = np.zeros(n_cols)
+    w[comp] = result.minimizer
     residual = float(np.abs(g @ w - y).max())
     return FailureCertificate(v, w, residual, result.l1_value)
+
+
+def first_failure(gamma) -> tuple[int | None, FailureCertificate | None]:
+    """(j, er_failure_certificate at e_j) for the first column j in index
+    order that has one, else (None, None): the theorem-a trial's search.
+    It skips the columns whose bound_j <= r_j exceeds FAILURE_TAU."""
+    g = _entries(gamma)
+    n_cols = g.shape[1]
+    for j, _ in _er1_columns(g, FAILURE_TAU):
+        cert = er_failure_certificate(g, SparseVector(n_cols, (j,), (1.0,)))
+        if cert is not None:
+            return j, cert
+    return None, None
 
 
 def er_check_nsp(gamma, d: int) -> NspVerdict:
@@ -132,38 +139,32 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
                       worst_support, worst_signs, worst_value, margin)
 
 
-def er1_search(gamma, tau: float | None = None):
-    """(j, r_j, result): a column, the least l1 norm r_j of a representation
-    of a_j by the other columns, and basis pursuit's result for it.
-
-    tau=None (er_check_nsp) finds the least r_j, solving columns by
-    increasing lower bound until the next bound reaches it; (0, inf, None)
-    if every r_j is inf.  tau = FAILURE_TAU (the theorem-a trial)
-    finds the first j in index order with r_j <= tau, else (None, inf, None).
-    """
+def er1_search(gamma):
+    """(j, r_j, result) for the column j with the least r_j, and basis
+    pursuit's result for it, solving columns by increasing bound until the
+    next bound reaches the least r_j; (0, inf, None) if every r_j is inf."""
     g = _entries(gamma)
-    best = (0 if tau is None else None, math.inf, None)
+    best = (0, math.inf, None)
     cols = np.arange(g.shape[1])
-    for j, bound_j in _er1_columns(g, tau):
+    for j, bound_j in _er1_columns(g, None):
         if bound_j >= best[1]:
             break
         try:
             result = recovery.basis_pursuit(g[:, np.delete(cols, j)], g[:, j])
         except NoSolutionError:
             continue  # a_j is outside the span of the others
-        if tau is not None and result.l1_value <= tau:
-            return j, result.l1_value, result
-        if tau is None and result.l1_value < best[1]:
+        if result.l1_value < best[1]:
             best = (j, result.l1_value, result)
     return best
 
 
 def _er1_columns(g: np.ndarray, tau: float | None):
-    """(j, bound_j <= r_j) for the columns er1_search solves, in its order:
-    bound_j = <y_j, a_j> / max_{i != j} |<y_j, a_i>|, y_j row j of
-    pinv(Gamma), from pinv(Gamma) Gamma in blocks of PROJECTOR_BLOCK.  With
-    a tau, column 0 comes before the rank test and the bounds (on theorem-a
-    matrices it almost always fails), then bound_j <= tau in index order."""
+    """(j, bound_j <= r_j) for the columns er1_search (no tau) and
+    first_failure solve, in order: bound_j = <y_j, a_j> / max_{i != j}
+    |<y_j, a_i>|, y_j row j of pinv(Gamma), from pinv(Gamma) Gamma in
+    blocks of PROJECTOR_BLOCK.  With a tau, column 0 comes first (on
+    theorem-a matrices it almost always fails), then bound_j <= tau in
+    index order."""
     n_rows, n_cols = g.shape
     if tau is not None:
         yield 0, 0.0
@@ -393,8 +394,8 @@ def compatibility_constant(gamma, s_set, l_budget: float,
         raise ValueError("S must contain 1 or 2 distinct indices")
     if any(not 0 <= i < n_cols for i in s):
         raise ValueError("S index out of range")
-    if l_budget < 1.0:
-        raise ValueError("L must be at least 1")
+    if not 1.0 <= l_budget < math.inf:
+        raise ValueError("L must be finite and at least 1")
     if gap_tol <= 0.0:
         raise ValueError("gap_tol must be positive")
     in_s = np.zeros(n_cols, dtype=bool)

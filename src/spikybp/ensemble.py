@@ -39,8 +39,8 @@ class ScalarLaw:
         if self.kind == SPIKY:
             if not 0.0 <= self.delta <= 1.0:
                 raise ValueError("delta must lie in [0, 1]")
-            if self.big_r < 0.0:
-                raise ValueError("big_r must be nonnegative")
+            if not 0.0 <= self.big_r < math.inf:
+                raise ValueError("big_r must be nonnegative and finite")
 
     @classmethod
     def rademacher(cls) -> "ScalarLaw":
@@ -62,8 +62,8 @@ def moment_lp_norm(law: ScalarLaw, p: float) -> float:
     gaussian:   (2^(p/2) * Gamma((p+1)/2) / sqrt(pi))^(1/p)
     rademacher: 1
     """
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and at least 1")
     if law.kind == RADEMACHER:
         return 1.0
     if law.kind == GAUSSIAN:

@@ -130,12 +130,8 @@ def _spike_event_all_rows(mask: np.ndarray) -> bool:
 
 
 def _failure_cert(mat, mask) -> dict:
-    j, _, result = certify.er1_search(mat, certify.FAILURE_TAU)
-    if result is None:
-        return dict(failure_found=False)
-    cert = certify.certificate_from(
-        mat.entries, recovery.SparseVector(mat.n_cols, (j,), (1.0,)), result)
-    return dict(failure_found=True, witness_j=j, certificate=cert)
+    j, cert = certify.first_failure(mat)
+    return dict(failure_found=cert is not None, witness_j=j, certificate=cert)
 
 
 def _l0_unique(mat, mask) -> dict:
@@ -294,6 +290,8 @@ def run_gaussian_baseline(n_rows: int, n_cols: int, trials: int,
     """Frequency of the exact ER(1) verdict over seeded Gaussian matrices."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must be a 64-bit unsigned integer")
     checks = {NSP_BASELINE.name}
     records = [_trial(EnsembleSpec(ScalarLaw.gaussian(), n_rows, n_cols,
                                    rng.mix_seed(seed, t)), t, checks)

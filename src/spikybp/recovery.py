@@ -136,11 +136,13 @@ def _entries(gamma) -> np.ndarray:
 
 
 def _system(gamma, y) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma's entries, y as a float vector), checking y's length."""
+    """(Gamma's entries, y as a float vector), checking y: N finite values."""
     g = _entries(gamma)
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.shape != (g.shape[0],):
         raise ValueError("y length must match the number of matrix rows")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     return g, y
 
 

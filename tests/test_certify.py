@@ -11,7 +11,6 @@ from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
                               sample_matrix)
 from spikybp.recovery import (SparseVector, basis_pursuit, certify_uniqueness,
                              column_classes)
-from spikybp.simplex import FEAS_TOL
 
 import oracles
 
@@ -100,10 +99,11 @@ def test_certificate_tie_margin_is_feas_tol(eps, found):
         assert cert.l1_witness == pytest.approx(1.0 + eps, abs=1e-15)
     # the trial's search takes the same decision at column 0 (past it,
     # column 1 has r = 1/(1 + eps) < 1)
-    j, r, _ = ct.er1_search(g, ct.FAILURE_TAU)
+    j, first = ct.first_failure(g)
     assert (j == 0) == found
     if found:
-        assert r == cert.l1_witness
+        assert first.witness.tobytes() == cert.witness.tobytes()
+        assert first.l1_witness == cert.l1_witness
 
 
 def test_certificate_validation():
@@ -143,16 +143,15 @@ def test_er1_decision_matches_the_every_column_loop(law, shape, witnesses):
         n_cols = g.shape[1]
         j_ref, ref = oracles.first_failure_every_column(
             n_cols, lambda j: ct.er_failure_certificate(g, target(n_cols, j)))
-        j, r, result = ct.er1_search(g, 1.0 + FEAS_TOL)
+        j, cert = ct.first_failure(g)
         assert j == j_ref == expect, f"draw {t}"
         if ref is None:
-            assert result is None and r == math.inf
+            assert cert is None
             continue
-        cert = ct.certificate_from(g, target(n_cols, j), result)
         assert cert.target == ref.target
         assert cert.witness.tobytes() == ref.witness.tobytes()
         assert cert.residual == ref.residual
-        assert cert.l1_witness == ref.l1_witness == r
+        assert cert.l1_witness == ref.l1_witness
 
 
 def test_er1_decision_skips_a_column_outside_the_span(bp_count):
@@ -164,14 +163,13 @@ def test_er1_decision_skips_a_column_outside_the_span(bp_count):
     j_ref, ref = oracles.first_failure_every_column(
         4, lambda j: ct.er_failure_certificate(g, target(4, j)))
     bp_count.clear()
-    j, r, result = ct.er1_search(g, 1.0 + FEAS_TOL)
+    j, cert = ct.first_failure(g)
     assert np.array_equal(bp_count[0][1], g[:, 0])
-    assert j == j_ref == 1 and r == 1.0
-    cert = ct.certificate_from(g, target(4, j), result)
+    assert j == j_ref == 1
     assert cert.target == ref.target
     assert cert.witness.tobytes() == ref.witness.tobytes()
     assert cert.residual == ref.residual
-    assert cert.l1_witness == ref.l1_witness == r
+    assert cert.l1_witness == ref.l1_witness == 1.0
 
 
 def test_er1_decision_prunes_rademacher_columns(bp_count):
@@ -179,9 +177,8 @@ def test_er1_decision_prunes_rademacher_columns(bp_count):
     # bounds rule out every column but the first, which is solved before them
     for t in range(4):
         bp_count.clear()
-        j, r, result = ct.er1_search(_draw(ScalarLaw.rademacher(), 24, 400, t),
-                                     1.0 + FEAS_TOL)
-        assert (j, r, result) == (None, math.inf, None)
+        assert ct.first_failure(
+            _draw(ScalarLaw.rademacher(), 24, 400, t)) == (None, None)
         assert len(bp_count) <= 2
 
 
@@ -193,8 +190,8 @@ def test_er1_decision_on_theorem_a_needs_one_lp_and_no_pinv(bp_count,
     monkeypatch.setattr(np.linalg, "pinv", no_pinv)
     mat = sample_matrix(EnsembleSpec(plan_parameters(3, 10**4).law(), 3,
                                      10**4, rng.mix_seed(2026, 0)))
-    j, r, result = ct.er1_search(mat, 1.0 + FEAS_TOL)
-    assert j == 0 and r < 1.0 and result is not None
+    j, cert = ct.first_failure(mat)
+    assert j == 0 and cert.l1_witness < 1.0
     assert len(bp_count) == 1
 
 
@@ -596,6 +593,9 @@ def test_compat_guards():
         ct.compatibility_constant(np.eye(4), (0,), 0.5)
     with pytest.raises(ValueError):
         ct.compatibility_constant(np.eye(4), (0,), 1.0, gap_tol=0.0)
+    for l_budget in (math.nan, math.inf):  # Frank-Wolfe divided by zero
+        with pytest.raises(ValueError, match="L must be finite"):
+            ct.compatibility_constant(np.eye(4), (0,), l_budget)
 
 
 def test_compat_larger_budget_never_increases():

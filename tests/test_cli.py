@@ -280,6 +280,17 @@ def test_moments_output(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--law", "spiky", "--delta", "0.1", "--R", "inf", "--p", "4"],
+    ["--law", "spiky", "--delta", "0.1", "--R", "nan", "--p", "4"],
+    ["--law", "gaussian", "--p", "inf"],
+    ["--law", "rademacher", "--p", "nan"]])
+def test_moments_nonfinite_r_or_p_exits_1(capsys, argv):
+    # each printed a moment (nan, or 1.0 for Rademacher) and exited 0
+    assert cli.run(["moments"] + argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_certify_exit_codes(identity_file, dup_file, tmp_path, capsys):
     assert cli.run(["certify", "--matrix", identity_file,
                     "--target", "e1"]) == 0
@@ -331,6 +342,21 @@ def test_recover_y_of_wrong_length(identity_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: y has 3 entries")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", [["l0", "--d-max", "1"],
+                                     ["l0", "--d-max", "2"], ["recover"],
+                                     ["recover", "--unique"]])
+def test_nonfinite_y_exits_1(tmp_path, capsys, command, bad):
+    # l0 printed the zero vector for (inf, 1, 2), recover an LP message
+    m = tmp_path / "m.txt"
+    a = np.random.default_rng(5).standard_normal((3, 50))
+    write_matrix_text(MeasurementMatrix(3, 50, a, 1.0), m)
+    z = tmp_path / "z.txt"
+    z.write_text(f"{bad} 1 2\n")
+    assert cli.run(command + ["--matrix", str(m), "--y", str(z)]) == 1
+    assert capsys.readouterr() == ("", "error: y must be finite\n")
+
+
 def test_matrix_header_needs_three_fields(tmp_path, capsys):
     m = tmp_path / "m.txt"
     m.write_text("2 2\n1 0\n0 1\n")
@@ -359,6 +385,11 @@ def test_compat_command(identity_file, capsys):
     assert cli.run(["compat", "--matrix", identity_file, "--s", "0",
                     "--L", "1"]) == 1  # 1-based indices
     capsys.readouterr()
+    for l_budget in ("nan", "inf"):  # ended in a ZeroDivisionError
+        assert cli.run(["compat", "--matrix", identity_file, "--s", "1",
+                        "--L", l_budget]) == 1
+        assert capsys.readouterr() == (
+            "", "error: L must be finite and at least 1\n")
 
 
 # a theorem-a cell at 3 x 5000: a sweep over one-element lists
@@ -436,6 +467,17 @@ def test_sweep_seed_range(tmp_path, capsys, seed):
                     "--law", "gaussian", "--out", str(out)]) == 1
     assert (capsys.readouterr().err
             == "error: seed must be a 64-bit unsigned integer\n")
+
+
+def test_sweep_nonfinite_r_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.run(["sweep", "--N-list", "3", "--n-list", "100",
+                    "--trials-list", "1", "--seed", "1", "--delta", "0.01",
+                    "--R", "nan", "--force", "--threads", "1",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: big_r must be nonnegative and finite\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])

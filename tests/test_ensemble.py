@@ -35,6 +35,9 @@ def test_law_constructors_and_guards():
         ScalarLaw.spiky(1.5, 3.0)
     with pytest.raises(ValueError):
         ScalarLaw.spiky(0.1, -1.0)
+    for bad in (math.nan, math.inf):  # gave a NaN moment
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            ScalarLaw.spiky(0.1, bad)
     # R = 0 collapses to Rademacher; allowed on purpose
     assert moment_lp_norm(ScalarLaw.spiky(0.3, 0.0), 6.0) == 1.0
 
@@ -68,6 +71,14 @@ def test_moment_guards():
         moment_lp_norm(ScalarLaw.gaussian(), 0.5)
     with pytest.raises(ValueError):
         moment_ratio(ScalarLaw.gaussian(), 1.5)
+    # a NaN or infinite p gave a NaN moment
+    for bad in (math.nan, math.inf):
+        for law in (ScalarLaw.gaussian(), ScalarLaw.rademacher(),
+                    ScalarLaw.spiky(0.1, 3.0)):
+            with pytest.raises(ValueError, match="p must be finite"):
+                moment_lp_norm(law, bad)
+            with pytest.raises(ValueError, match="p must be finite"):
+                moment_ratio(law, bad)
 
 
 def test_normalized_fourth_moment_plan_value():

@@ -329,6 +329,10 @@ def test_gaussian_baseline_small_cases():
         "nsp_gaussian_baseline"].frequency == 0.0
     with pytest.raises(ValueError):
         run_gaussian_baseline(4, 4, 0, 1)
+    for seed in (-1, 1 << 64):  # refused, not masked to another seed
+        with pytest.raises(ValueError,
+                           match="seed must be a 64-bit unsigned integer"):
+            run_gaussian_baseline(6, 12, 2, seed)
 
 
 def test_rademacher_pairs_defeat_bp_at_three_rows():

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -117,6 +118,22 @@ def test_no_solution_raises():
 def test_y_length_guard():
     with pytest.raises(ValueError):
         basis_pursuit(np.eye(3), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_y_is_rejected(bad):
+    # every (Gamma, y) entry point refuses it; l0 used to return the zero
+    # vector for (inf, 1, 2) and basis pursuit failed inside the LP
+    g = np.random.default_rng(5).standard_normal((3, 50))
+    y = np.array([bad, 1.0, 2.0])
+    good = basis_pursuit(g, np.array([0.0, 1.0, 2.0]))
+    calls = [lambda: basis_pursuit(g, y),
+             lambda: certify_uniqueness(g, y, good),
+             lambda: l0_brute_force(g, y, 1),
+             lambda: l0_brute_force(g, y, 2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="y must be finite"):
+            call()
 
 
 def highs_bp_value(g, y):
