@@ -26,7 +26,7 @@ import numpy as np
 
 from . import recovery
 from .recovery import NoSolutionError, SparseVector, _entries, _kernel_lp
-from .simplex import FEAS_TOL
+from .simplex import FEAS_TOL, IterationLimitError
 
 STRICT_MARGIN_TOL = 1e-7
 FAILURE_TAU = 1.0 + FEAS_TOL  # r <= this is a failure certificate, ties too
@@ -35,6 +35,8 @@ FAILURE_TAU = 1.0 + FEAS_TOL  # r <= this is a failure certificate, ties too
 # N x 2^(N-1) arrays of about 9 MB each at the limit.
 WIDTH_SIGN_BUDGET = 1 << 16
 PROJECTOR_BLOCK = 1 << 22  # entries of pinv(Gamma) Gamma formed at once
+FW_GAP_TOL = 1e-7  # Frank-Wolfe's stopping gap (_afw_min)
+FW_ITERATION_CAP = 100000
 
 
 @dataclass
@@ -62,10 +64,6 @@ class CompatibilityValue:
     phi2: float
     minimizer_beta: np.ndarray
     iterations: int
-
-
-class CompatibilityError(RuntimeError):
-    """Frank-Wolfe did not reach gap_tol; the message gives the last gap."""
 
 
 def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
@@ -130,7 +128,7 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
     if d == 2 and n_cols > 256:
         raise ValueError("d=2 verdict limited to n <= 256")
     if d == 1:
-        j, r, _ = er1_search(g)
+        j, r = er1_search(g)
         worst_value, worst_support, worst_signs = 1.0 / (1.0 + r), (j,), (1,)
     else:
         worst_value, worst_support, worst_signs = _er2_worst(g)
@@ -140,11 +138,11 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
 
 
 def er1_search(gamma):
-    """(j, r_j, result) for the column j with the least r_j, and basis
-    pursuit's result for it, solving columns by increasing bound until the
-    next bound reaches the least r_j; (0, inf, None) if every r_j is inf."""
+    """(j, r_j) for the column j with the least r_j, solving columns by
+    increasing bound until the next bound reaches the least r_j; (0, inf)
+    if every r_j is inf."""
     g = _entries(gamma)
-    best = (0, math.inf, None)
+    best = (0, math.inf)
     cols = np.arange(g.shape[1])
     for j, bound_j in _er1_columns(g, None):
         if bound_j >= best[1]:
@@ -154,7 +152,7 @@ def er1_search(gamma):
         except NoSolutionError:
             continue  # a_j is outside the span of the others
         if result.l1_value < best[1]:
-            best = (j, result.l1_value, result)
+            best = (j, result.l1_value)
     return best
 
 
@@ -264,7 +262,7 @@ def width_bound_check(vectors, big_r: float) -> tuple[float, float, bool]:
 
 
 def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,
-             l_budget: float, gap_tol: float):
+             l_budget: float):
     """Minimize ||A_s b_s - A_u b_u||^2 over the signed simplex x L*B1 product.
 
     Away-step Frank-Wolfe with exact line search; iterates are convex
@@ -285,7 +283,6 @@ def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,
     the run over every column.
     """
     n_s, n_u = a_s.shape[1], a_u.shape[1]
-    cap = 100000
     sig = sigma.tolist()
 
     def vertex_col(key):
@@ -322,12 +319,12 @@ def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,
             phi_at[k] = val
         phi_beta = sum(active[k] * phi_at[k] for k in active)
         gap = phi_beta - phi_fw
-        if gap <= gap_tol:
+        if gap <= FW_GAP_TOL:
             break
-        if iters >= cap:
-            raise CompatibilityError(
-                f"Frank-Wolfe gap {gap:.3e} above {gap_tol:.3e} "
-                f"after {cap} iterations")
+        if iters >= FW_ITERATION_CAP:
+            raise IterationLimitError(
+                f"Frank-Wolfe gap {gap:.3e} above {FW_GAP_TOL:.3e} "
+                f"after {FW_ITERATION_CAP} iterations")
         away_key = max(active, key=lambda k: (phi_at[k], k))
         gap_away = phi_at[away_key] - phi_beta
         if gap >= gap_away:
@@ -376,8 +373,7 @@ def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,
     return float(r @ r), beta_s, beta_u, iters
 
 
-def compatibility_constant(gamma, s_set, l_budget: float,
-                           gap_tol: float = 1e-7) -> CompatibilityValue:
+def compatibility_constant(gamma, s_set, l_budget: float) -> CompatibilityValue:
     """phi2(L, S) = |S| * min ||Gamma b_S - Gamma b_{S^c}||_2^2 over
     ||b_S||_1 = 1, ||b_{S^c}||_1 <= L, minimized per sign pattern of b_S.
 
@@ -385,7 +381,8 @@ def compatibility_constant(gamma, s_set, l_budget: float,
     (recovery.column_classes), found once and shared by both sign patterns,
     and the minimizer puts each class's weight on its first column.  At
     N = 3 the 10^4 columns of a theorem-a matrix fall into about a dozen
-    classes (see _afw_min).
+    classes (see _afw_min).  Each run stops at a gap of FW_GAP_TOL, or
+    raises IterationLimitError after FW_ITERATION_CAP iterations.
     """
     g = _entries(gamma)
     n_rows, n_cols = g.shape
@@ -396,8 +393,6 @@ def compatibility_constant(gamma, s_set, l_budget: float,
         raise ValueError("S index out of range")
     if not 1.0 <= l_budget < math.inf:
         raise ValueError("L must be finite and at least 1")
-    if gap_tol <= 0.0:
-        raise ValueError("gap_tol must be positive")
     in_s = np.zeros(n_cols, dtype=bool)
     in_s[list(s)] = True
     comp = np.nonzero(~in_s)[0]
@@ -414,7 +409,7 @@ def compatibility_constant(gamma, s_set, l_budget: float,
     total_iters = 0
     for sigma in itertools.product((1.0, -1.0), repeat=len(s)):
         f, beta_s, beta_u, iters = _afw_min(a_s, a_u, np.array(sigma),
-                                            float(l_budget), gap_tol)
+                                            float(l_budget))
         total_iters += iters
         if best is None or f < best[0]:
             best = (f, beta_s, beta_u)

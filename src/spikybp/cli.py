@@ -145,14 +145,17 @@ def cmd_sample(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    """Compute every line, then print: a rejected --p prints nothing."""
     law = _law_from_args(args)
     p = args.p
-    print(f"law: {law.kind}" + (f" delta={law.delta!r} R={law.big_r!r}"
-                                if law.kind == "spiky" else ""))
-    print(f"lp_norm(p={p!r}) = {moment_lp_norm(law, p)!r}")
+    lines = [f"law: {law.kind}" + (f" delta={law.delta!r} R={law.big_r!r}"
+                                   if law.kind == "spiky" else ""),
+             f"lp_norm(p={p!r}) = {moment_lp_norm(law, p)!r}"]
     if p >= 2:
-        print(f"normalized_lp_norm(p={p!r}) = {moment_ratio(law, p)!r}")
-    print(f"normalized_fourth_moment = {normalized_fourth_moment(law)!r}")
+        lines.append(f"normalized_lp_norm(p={p!r}) = {moment_ratio(law, p)!r}")
+    lines.append(
+        f"normalized_fourth_moment = {normalized_fourth_moment(law)!r}")
+    print("\n".join(lines))
     return 0
 
 
@@ -358,7 +361,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, _rec.NoSolutionError,
-            _certify.CompatibilityError, IterationLimitError) as exc:
+            IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -191,9 +191,14 @@ _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
 def _single_blas_thread() -> None:
     """Pool initializer: run this process's OpenBLAS on one thread.
 
-    A worker's BLAS calls are small (3 x 10^4 matrix-vector products), so
-    with OpenBLAS's default thread count every worker wakes a full set of
-    BLAS threads and the pool oversubscribes the CPUs.  dlsym on numpy's
+    With OpenBLAS's default thread count every worker can wake a full set
+    of BLAS threads, and the pool then oversubscribes the CPUs.  A
+    3 x 10^4 cell makes no BLAS call large enough to start a thread (320
+    trials: one thread per unpinned worker), so theorem-a timings cannot
+    show the pin's worth.  Taller cells can: on a forced 32 x 10^4 cell
+    (48 trials, default checks, 2 workers on 2 vCPUs, OpenBLAS 0.3.31)
+    the workers took 10-11 CPU s with the pin and 18-21 s without, and
+    the cell 5.1-5.5 s of wall time against 9.1-10.7 s.  dlsym on numpy's
     linalg extension also searches the BLAS library it links against.
     Without OpenBLAS (MKL, Accelerate) this does nothing.
     """
@@ -230,25 +235,22 @@ def _aggregate(records: list[TrialRecord], checks) -> dict[str, CheckStats]:
     return out
 
 
-# the live trial pool, under (factory, worker count); at most one entry
+# the live trial pool, under its worker count; at most one entry
 _POOLS: dict = {}
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """The cached pool of `workers` trial workers, built on first use.
 
-    A pool of another size is shut down first.  The factory is looked up
-    when called, and is part of the key, so a pool made by a stand-in for
-    ProcessPoolExecutor is never handed out after the stand-in is gone.
-    concurrent.futures joins the workers at interpreter exit.
+    A pool of another size is shut down first.  concurrent.futures joins
+    the workers at interpreter exit.
     """
-    key = (ProcessPoolExecutor, workers)
-    pool = _POOLS.get(key)
+    pool = _POOLS.get(workers)
     if pool is None:
         for old in _POOLS.values():
             old.shutdown()
         _POOLS.clear()
-        pool = _POOLS[key] = ProcessPoolExecutor(
+        pool = _POOLS[workers] = ProcessPoolExecutor(
             max_workers=workers, initializer=_single_blas_thread)
     return pool
 

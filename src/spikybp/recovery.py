@@ -56,6 +56,11 @@ UNIQUENESS_TOL = 1e-6
 # paths.
 SIFT_COLUMNS = 256
 
+# Most member pairs the size-2 l0 search returns.  Each costs about 520
+# bytes in the returned list (2 x 800 Gaussian, y = (0.3, -0.7): 319,587
+# pairs, 160 MB), so the list stays near 0.5 GB; l0_pairs returns 9-12 k.
+L0_PAIR_BUDGET = 10**6
+
 
 class NoSolutionError(RuntimeError):
     """y is not in the range of Gamma: basis pursuit has no feasible point."""
@@ -250,8 +255,7 @@ def _kernel_lp(a: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     return 1.0 / bp.l1_value, bp.minimizer / bp.l1_value
 
 
-def certify_uniqueness(gamma, y, result: RecoveryResult,
-                       uniqueness_tol: float = UNIQUENESS_TOL) -> RecoveryResult:
+def certify_uniqueness(gamma, y, result: RecoveryResult) -> RecoveryResult:
     """Resolve the unique field of a basis-pursuit result by the strict-dual test.
 
     With S the support of x* = result.minimizer (entries above
@@ -262,11 +266,11 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
         value = max { -sigma'z_S : Gamma z = 0, ||z_C||_1 <= 1 } < 1
 
     (Fuchs 2004; Zhang, Yin & Cheng 2015).  The verdict is UNIQUE iff the
-    rank holds and value < 1 - uniqueness_tol, so uniqueness_tol is a margin
-    on 1 - value.  The complete QR Gamma_S = [Q1 Q2][R1; 0] eliminates
+    rank holds and value < 1 - UNIQUENESS_TOL, a margin on 1 - value.
+    The complete QR Gamma_S = [Q1 Q2][R1; 0] eliminates
     z_S = -R1^-1 Q1'Gamma_C z_C: value = _kernel_lp(Q2'Gamma_C, c) with
     c = Gamma_C'Q1 R1^-T sigma, one basis pursuit.  None runs when the rank
-    fails, or when ||c||_inf < 1 - uniqueness_tol: dropping the constraint
+    fails, or when ||c||_inf < 1 - UNIQUENESS_TOL: dropping the constraint
     Q2'Gamma_C z_C = 0 can only raise the maximum, so value <= ||c||_inf,
     and the verdict is UNIQUE, as the LP's would be.
     A NOT_UNIQUE result carries witness_alt = x* + eps*z, with z the
@@ -274,8 +278,6 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
     the largest step that flips no sign on S: Gamma w = y and
     ||w||_1 <= l1_value + eps*(1 - value).
     """
-    if not 0.0 <= uniqueness_tol < 1.0:
-        raise ValueError("uniqueness_tol must lie in [0, 1)")
     g, _ = _system(gamma, y)
     n_cols = g.shape[1]
     x = result.minimizer
@@ -294,10 +296,10 @@ def certify_uniqueness(gamma, y, result: RecoveryResult,
         q1, q2, r1 = q[:, :k], q[:, k:], r[:k]
         g_c = g[:, ~on_s]
         c = g_c.T @ (q1 @ np.linalg.solve(r1.T, sigma))
-        if np.abs(c).max(initial=0.0) < 1.0 - uniqueness_tol:
+        if np.abs(c).max(initial=0.0) < 1.0 - UNIQUENESS_TOL:
             return replace(result, unique=UNIQUE, witness_alt=None)
         value, z_c = _kernel_lp(q2.T @ g_c, c)
-        if value < 1.0 - uniqueness_tol:
+        if value < 1.0 - UNIQUENESS_TOL:
             return replace(result, unique=UNIQUE, witness_alt=None)
         z[~on_s] = z_c
         z[s_idx] = -np.linalg.solve(r1, q1.T @ (g_c @ z_c))
@@ -395,6 +397,10 @@ def _pair_solutions(g, y, thresh, norms2, dots) -> list[SparseVector]:
     size = np.bincount(label)
     start = np.cumsum(size) - size
     count = size[hit_a] * size[hit_b]
+    total = int(count.sum())
+    if total > L0_PAIR_BUDGET:
+        raise ValueError(f"{total} column pairs fit y, more than "
+                         f"L0_PAIR_BUDGET = {L0_PAIR_BUDGET}")
     h = np.repeat(np.arange(count.size), count)
     q = np.arange(h.size) - np.repeat(np.cumsum(count) - count, count)
     i = members[start[hit_a][h] + q // size[hit_b][h]]
@@ -444,7 +450,8 @@ def l0_brute_force(gamma, y, d_max: int, res_tol: float = 1e-8) -> list[SparseVe
     the members' signs.  It solves the class pairs (a, b > a) of one class
     a at once over the first columns, each 2x2 Gram system by Cramer's
     rule, then expands each fitting class pair to its member pairs and
-    sorts them; memory is O(N n) plus the output.  A member pair sums its
+    sorts them; memory is O(N n) plus the output (at most L0_PAIR_BUDGET
+    pairs, else ValueError).  A member pair sums its
     residual's terms in class order, not column order, so only a residual
     within rounding of the threshold could decide otherwise.  Pairs in one
     class, and rank-deficient pairs (sigma_min/sigma_max <= eps*max(N, 2),

@@ -78,7 +78,7 @@ _getrf, _getrs = _LAPACK.dgetrf, _LAPACK.dgetrs
 
 
 class IterationLimitError(RuntimeError):
-    """Pivot cap exceeded; the message names the cap."""
+    """Simplex or Frank-Wolfe iteration cap exceeded; the message names it."""
 
 
 @dataclass

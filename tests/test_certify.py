@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spikybp import certify as ct, recovery, rng, simplex
+from spikybp import certify as ct, cli, recovery, rng, simplex
 from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
-                              sample_matrix)
+                              sample_matrix, write_matrix_text)
 from spikybp.recovery import (SparseVector, basis_pursuit, certify_uniqueness,
                              column_classes)
 
@@ -519,13 +519,13 @@ def test_compat_pair_support():
     assert 0.0 <= value.phi2 <= 2.0 * (1.0 + 0.7**2 + 0.1**2)
 
 
-def test_compat_matches_grid_and_slsqp_oracles():
+def test_compat_matches_grid_and_slsqp_oracles(monkeypatch):
+    monkeypatch.setattr(ct, "FW_GAP_TOL", 1e-9)
     gen = np.random.default_rng(3)
     for l_budget in (1.0, 1.7):
         for _ in range(4):
             g = gen.standard_normal((2, 3))
-            mine = ct.compatibility_constant(g, (0,), l_budget,
-                                             gap_tol=1e-9).phi2
+            mine = ct.compatibility_constant(g, (0,), l_budget).phi2
             grid_min, slsqp_min, grid_err = oracles.compat_oracle(
                 g, 0, (1.0, -1.0), l_budget)
             best = min(grid_min, slsqp_min)
@@ -591,11 +591,25 @@ def test_compat_guards():
         ct.compatibility_constant(np.eye(4), (9,), 1.0)
     with pytest.raises(ValueError):
         ct.compatibility_constant(np.eye(4), (0,), 0.5)
-    with pytest.raises(ValueError):
-        ct.compatibility_constant(np.eye(4), (0,), 1.0, gap_tol=0.0)
     for l_budget in (math.nan, math.inf):  # Frank-Wolfe divided by zero
         with pytest.raises(ValueError, match="L must be finite"):
             ct.compatibility_constant(np.eye(4), (0,), l_budget)
+
+
+def test_compat_iteration_cap_raises(monkeypatch, tmp_path, capsys):
+    # a 3x6 Gaussian draw takes 63 iterations; a cap of 1 stops it with the
+    # simplex's cap error, which the CLI reports as an error line
+    mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 3, 6, 0))
+    path = str(tmp_path / "g.txt")
+    write_matrix_text(mat, path)
+    monkeypatch.setattr(ct, "FW_ITERATION_CAP", 1)
+    with pytest.raises(simplex.IterationLimitError,
+                       match=r"Frank-Wolfe gap .* after 1 iterations"):
+        ct.compatibility_constant(mat, (0,), 1.0)
+    assert cli.run(["compat", "--matrix", path, "--s", "1", "--L", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Frank-Wolfe gap ")
 
 
 def test_compat_larger_budget_never_increases():

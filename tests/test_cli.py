@@ -111,8 +111,8 @@ def test_option_inventory():
     (["sweep", "--N-list", "3", "--n-list", "5000", "--trials-list", "1",
       "--seed", "1", "--checks", "clean_col", "--threads", "1",
       "--out", "OUT"], "--c-lo-list"),
-    # the row scale, the uniqueness margin and the Monte Carlo moment are
-    # library parameters only
+    # the row scale and the Monte Carlo moment are library parameters only,
+    # and the uniqueness margin a library constant
     (["sample", "--N", "3", "--n", "10000", "--seed", "1", "--out", "OUT"],
      "--no-row-scale"),
     (["recover", "--target", "e1", "--unique", "--matrix", "MATRIX"],
@@ -286,9 +286,12 @@ def test_moments_output(capsys):
     ["--law", "gaussian", "--p", "inf"],
     ["--law", "rademacher", "--p", "nan"]])
 def test_moments_nonfinite_r_or_p_exits_1(capsys, argv):
-    # each printed a moment (nan, or 1.0 for Rademacher) and exited 0
+    # each printed a moment (nan, or 1.0 for Rademacher) and exited 0; an
+    # error prints no partial result
     assert cli.run(["moments"] + argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_certify_exit_codes(identity_file, dup_file, tmp_path, capsys):

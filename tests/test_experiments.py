@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -221,15 +220,15 @@ def test_run_cell_threads_bounds(monkeypatch):
 def test_cells_reuse_warm_workers(pools):
     cfg = small_config(trials=3, seed=11, checks={"clean_col"})
     first = run_cell(cfg, threads=2)
-    pool = pools[(ProcessPoolExecutor, 2)]
+    pool = pools[2]
     workers = list(pool._processes.values())
     assert len(workers) == 2
     second = run_cell(cfg, threads=2)
-    assert pools == {(ProcessPoolExecutor, 2): pool}
+    assert pools == {2: pool}
     assert list(pool._processes.values()) == workers
     assert second.records == first.records
     run_cell(cfg, threads=3)
-    assert list(pools) == [(ProcessPoolExecutor, 3)]
+    assert list(pools) == [3]
     for proc in workers:  # shut down, joined and reaped
         assert proc.exitcode is not None
 
@@ -238,7 +237,7 @@ def test_broken_pool_is_replaced(pools):
     cfg = small_config(trials=2, seed=11, checks={"clean_col"})
     serial = run_cell(cfg, threads=1)
     run_cell(cfg, threads=2)
-    pool = pools[(ProcessPoolExecutor, 2)]
+    pool = pools[2]
     for proc in pool._processes.values():
         proc.kill()
         proc.join(timeout=60)
@@ -246,17 +245,16 @@ def test_broken_pool_is_replaced(pools):
         run_cell(cfg, threads=2)
     assert pools == {}
     assert run_cell(cfg, threads=2).records == serial.records
-    assert pools[(ProcessPoolExecutor, 2)] is not pool
+    assert pools[2] is not pool
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
 def test_pooled_cell_leaves_no_worker_behind():
     src = str(Path(ex.__file__).resolve().parents[1])
-    code = ("from concurrent.futures import ProcessPoolExecutor\n"
-            "from spikybp import experiments as ex\n"
+    code = ("from spikybp import experiments as ex\n"
             "cfg = ex.ExperimentConfig(3, 5000, 2, 11, checks={'clean_col'})\n"
             "ex.run_cell(cfg, threads=2)\n"
-            "print(*ex._POOLS[(ProcessPoolExecutor, 2)]._processes)\n")
+            "print(*ex._POOLS[2]._processes)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -291,7 +289,7 @@ def test_pool_workers_run_one_blas_thread(pools):
         pytest.skip("numpy is not linked against OpenBLAS")
     cfg = small_config(trials=2, seed=11, checks={"clean_col"})
     run_cell(cfg, threads=2)
-    pool = pools[(ProcessPoolExecutor, 2)]
+    pool = pools[2]
     assert pool.submit(_blas_threads).result(timeout=60) == 1
     assert _blas_threads() == before
 

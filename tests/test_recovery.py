@@ -7,7 +7,7 @@ import pytest
 from spikybp import cli, rng, simplex
 from spikybp import recovery as rec
 from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
-                              sample_matrix)
+                              sample_matrix, write_matrix_text)
 from spikybp.recovery import (NOT_UNIQUE, UNIQUE, UNKNOWN, NoSolutionError,
                               RecoveryResult, SparseVector, basis_pursuit,
                               certify_uniqueness, column_classes,
@@ -271,10 +271,10 @@ def test_small_nsp_margin_draws_are_unique():
                 assert res.unique == UNIQUE, (seed, unit, j, s)
 
 
-def test_uniqueness_agrees_with_er1_oracle():
+def test_uniqueness_agrees_with_er1_oracle(monkeypatch):
     # +-e_j is the unique minimizer iff the least l1 representation r_j of
     # column j by the others exceeds 1; at x* = e_j the strict-dual value is
-    # 1 / r_j, so uniqueness_tol flips the verdict at 1 - 1/r_j.  These draws
+    # 1 / r_j, so UNIQUENESS_TOL flips the verdict at 1 - 1/r_j.  These draws
     # fail ER(1) at 5 columns, so both verdicts occur.
     failing = 0
     for t in range(3):
@@ -298,18 +298,20 @@ def test_uniqueness_agrees_with_er1_oracle():
                         assert_valid_witness(g, y, res)
                 if r[j] > 1.0:
                     margin = 1.0 - 1.0 / r[j]
-                    assert certify_uniqueness(
-                        g, y, at_e, uniqueness_tol=0.9 * margin).unique == UNIQUE
-                    assert certify_uniqueness(
-                        g, y, at_e, uniqueness_tol=1.1 * margin).unique == NOT_UNIQUE
+                    for scale, verdict in ((0.9, UNIQUE), (1.1, NOT_UNIQUE)):
+                        with monkeypatch.context() as m:
+                            m.setattr(rec, "UNIQUENESS_TOL", scale * margin)
+                            assert certify_uniqueness(
+                                g, y, at_e).unique == verdict
     assert failing == 5
 
 
-def test_uniqueness_matches_the_strict_dual_oracle():
+def test_uniqueness_matches_the_strict_dual_oracle(monkeypatch):
     # certify_uniqueness solves the strict-dual LP as basis pursuit on the
     # system reduced by Gamma_S's QR; HiGHS solves it with z_S free and a
     # budget row.  Supports of every size 1..m, k = m (no kernel rows) and
     # S = every column (no z_C, so NoSolutionError, value 0, UNIQUE)
+    monkeypatch.setattr(rec, "UNIQUENESS_TOL", 0.0)
     gen = np.random.default_rng(15)
     verdicts = {UNIQUE: 0, NOT_UNIQUE: 0}
     for t in range(4):
@@ -324,8 +326,7 @@ def test_uniqueness_matches_the_strict_dual_oracle():
                 0.5, 2.0, s_idx.size)
             y = mat @ x
             value = oracles.strict_dual_value(mat, s_idx, np.sign(x[s_idx]))
-            res = certify_uniqueness(mat, y, RecoveryResult(x, np.abs(x).sum()),
-                                     uniqueness_tol=0.0)
+            res = certify_uniqueness(mat, y, RecoveryResult(x, np.abs(x).sum()))
             assert res.unique == (UNIQUE if value < 1.0 else NOT_UNIQUE)
             if res.unique == NOT_UNIQUE:
                 assert_valid_witness(mat, y, res)
@@ -333,8 +334,7 @@ def test_uniqueness_matches_the_strict_dual_oracle():
     assert min(verdicts.values()) > 0
     # y = 0: the minimizer is 0, S is empty and the verdict is UNIQUE
     g = np.random.default_rng(3).standard_normal((4, 9))
-    res = certify_uniqueness(g, np.zeros(4), basis_pursuit(g, np.zeros(4)),
-                             uniqueness_tol=0.0)
+    res = certify_uniqueness(g, np.zeros(4), basis_pursuit(g, np.zeros(4)))
     assert oracles.strict_dual_value(g, [], []) == 0.0
     assert res.unique == UNIQUE and not res.minimizer.any()
 
@@ -412,15 +412,6 @@ def test_uniqueness_solves_one_lp(lp_count, tmp_path, capsys):
     assert len(lp_count) <= 2
     assert all(s.x.size <= 2 * rec.SIFT_COLUMNS for s in lp_count)
     assert "unique: " in capsys.readouterr().out
-
-
-def test_uniqueness_tol_guard():
-    g = np.eye(2)
-    y = np.array([1.0, 0.0])
-    res = basis_pursuit(g, y)
-    for tol in (-1e-6, 1.0):
-        with pytest.raises(ValueError):
-            certify_uniqueness(g, y, res, uniqueness_tol=tol)
 
 
 def test_uniqueness_accepts_measurement_matrix():
@@ -609,6 +600,38 @@ def test_l0_guards():
     assert [s.support for s in l0_brute_force(g, 2.0 * g[:, 5], 2)] == [(5,)]
     pair = l0_brute_force(g, g[:, 1] - g[:, 7], 2)
     assert [s.support for s in pair] == [(1, 7)]
+
+
+# a 2x300 Gaussian draw: 44,847 of its column pairs fit y = (0.3, -0.7)
+WIDE_PAIRS = 44_847
+
+
+def _wide_pair_case():
+    mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 2, 300, 1))
+    return mat, np.array([0.3, -0.7])
+
+
+def test_l0_pair_budget_refuses_a_large_expansion(monkeypatch):
+    mat, y = _wide_pair_case()
+    monkeypatch.setattr(rec, "L0_PAIR_BUDGET", WIDE_PAIRS)
+    assert len(l0_brute_force(mat, y, 2)) == WIDE_PAIRS
+    monkeypatch.setattr(rec, "L0_PAIR_BUDGET", WIDE_PAIRS - 1)
+    with pytest.raises(ValueError, match=f"{WIDE_PAIRS} column pairs fit y, "
+                       f"more than L0_PAIR_BUDGET = {WIDE_PAIRS - 1}"):
+        l0_brute_force(mat, y, 2)
+
+
+def test_l0_pair_budget_exits_1(monkeypatch, tmp_path, capsys):
+    mat, y = _wide_pair_case()
+    write_matrix_text(mat, tmp_path / "m.txt")
+    write_vector_text(y, tmp_path / "y.txt")
+    monkeypatch.setattr(rec, "L0_PAIR_BUDGET", 1000)
+    assert cli.run(["l0", "--matrix", str(tmp_path / "m.txt"),
+                    "--y", str(tmp_path / "y.txt"), "--d-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {WIDE_PAIRS} column pairs fit y, more "
+                            f"than L0_PAIR_BUDGET = 1000\n")
 
 
 # ------------------------------------------------------------------ files
