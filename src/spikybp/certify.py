@@ -14,6 +14,9 @@ h_j = -1 has ||h_{-j}||_1 >= r_j), found by er1_search.  first_failure
 finds the trial's first j with r_j <= 1 through er_failure_certificate,
 the one builder of certificates.  For d = 2 one kernel LP per pair and
 sign pattern, up to h -> -h, gives the maximum (recovery._kernel_lp).
+Every r-against-1 verdict, uniqueness too (recovery.certify_uniqueness),
+has one tie band, tau = simplex.FEAS_TOL read at call time: each tests
+r > 1 + tau in its own variable, so at d = 1 the three agree.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import recovery
+from . import recovery, simplex
 from .recovery import NoSolutionError, SparseVector, _entries, _kernel_lp
-from .simplex import FEAS_TOL, IterationLimitError
-
-STRICT_MARGIN_TOL = 1e-7
-FAILURE_TAU = 1.0 + FEAS_TOL  # r <= this is a failure certificate, ties too
+from .simplex import IterationLimitError
 
 # Most sign vectors width_bound_check enumerates: N <= 17, with two
 # N x 2^(N-1) arrays of about 9 MB each at the limit.
@@ -71,7 +71,7 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
 
     This is basis pursuit on the columns off supp(v), so l1_witness is the
     least l1 norm r of such a representation.  Returns None when
-    r > FAILURE_TAU (so a tie, r = 1, is a certificate) or no such
+    r > 1 + simplex.FEAS_TOL (so a tie is a certificate) or no such
     w exists.  At a 1-sparse v, None proves v the unique basis-pursuit
     minimizer; at a wider v it proves nothing, and er_check_nsp decides.
     """
@@ -89,7 +89,7 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
         result = recovery.basis_pursuit(g[:, comp], y)
     except NoSolutionError:
         return None
-    if result.l1_value > FAILURE_TAU:
+    if result.l1_value > 1.0 + simplex.FEAS_TOL:
         return None
     w = np.zeros(n_cols)
     w[comp] = result.minimizer
@@ -100,10 +100,10 @@ def er_failure_certificate(gamma, v: SparseVector) -> FailureCertificate | None:
 def first_failure(gamma) -> tuple[int | None, FailureCertificate | None]:
     """(j, er_failure_certificate at e_j) for the first column j in index
     order that has one, else (None, None): the theorem-a trial's search.
-    It skips the columns whose bound_j <= r_j exceeds FAILURE_TAU."""
+    It skips the columns whose bound_j <= r_j exceeds 1 + simplex.FEAS_TOL."""
     g = _entries(gamma)
     n_cols = g.shape[1]
-    for j, _ in _er1_columns(g, FAILURE_TAU):
+    for j, _ in _er1_columns(g, 1.0 + simplex.FEAS_TOL):
         cert = er_failure_certificate(g, SparseVector(n_cols, (j,), (1.0,)))
         if cert is not None:
             return j, cert
@@ -114,10 +114,10 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
     """Exact ER(d) verdict via the null space property.
 
     worst_value is max {sum_S s_i h_i : Gamma h = 0, ||h||_1 <= 1} over
-    |S| = d and signs s, and ER(d) holds iff it is below
-    1/2 - STRICT_MARGIN_TOL.  d = 1 reads 1/(1 + min_j r_j) off er1_search
-    (so it needs min_j r_j > 1/(1/2 - STRICT_MARGIN_TOL) - 1; worst_signs
-    is (1,)); d = 2 solves one kernel LP per pair and sign pattern.
+    |S| = d and signs s, and ER(d) holds iff it is below 1/(2 + tau),
+    tau = simplex.FEAS_TOL.  d = 1 reads 1/(1 + min_j r_j) off er1_search
+    (so it holds iff min_j r_j > 1 + tau; worst_signs is (1,)); d = 2
+    solves one kernel LP per pair and sign pattern.
     """
     g = _entries(gamma)
     n_cols = g.shape[1]
@@ -132,9 +132,9 @@ def er_check_nsp(gamma, d: int) -> NspVerdict:
         worst_value, worst_support, worst_signs = 1.0 / (1.0 + r), (j,), (1,)
     else:
         worst_value, worst_support, worst_signs = _er2_worst(g)
-    margin = 0.5 - worst_value
-    return NspVerdict(d, worst_value < 0.5 - STRICT_MARGIN_TOL,
-                      worst_support, worst_signs, worst_value, margin)
+    return NspVerdict(d, worst_value < 1.0 / (2.0 + simplex.FEAS_TOL),
+                      worst_support, worst_signs, worst_value,
+                      0.5 - worst_value)
 
 
 def er1_search(gamma):

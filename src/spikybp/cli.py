@@ -230,8 +230,8 @@ def cmd_compat(args) -> int:
 def cmd_sweep(args) -> int:
     """Check every cell's plan, then run the cells, write one CSV, print."""
     lists = (args.n_rows_list, args.n_cols_list, args.trials_list)
-    if not all(lists):
-        raise ValueError("every sweep list must be nonempty")
+    if not all(lists) or args.checks == frozenset():
+        raise ValueError("every sweep list, --checks too, must be nonempty")
     configs = [_cell_config(args, n_rows, n_cols, trials,
                             checks=args.checks or _exp.DEFAULT_CHECKS)
                for n_rows, n_cols, trials in itertools.product(*lists)]

@@ -137,6 +137,7 @@ def evaluate_plan(n_rows: int, n_cols: int, delta: float,
                   big_r: float) -> ParameterPlan:
     """The four admissibility conditions for explicit (delta, R) at (N, n);
     p is ln(n)/ln(N), as in plan_parameters, and no condition reads it."""
+    ScalarLaw.spiky(delta, big_r)  # ValueError first if (delta, R) is no law
     p = _moment_order(n_rows, n_cols)
     lo = C2_LOWER * math.log(n_rows) / n_cols
     hi = math.log(math.e * n_cols / n_rows) / n_rows

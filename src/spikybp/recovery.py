@@ -42,8 +42,6 @@ UNIQUE = "unique"
 NOT_UNIQUE = "not_unique"
 UNKNOWN = "unknown"
 
-UNIQUENESS_TOL = 1e-6
-
 # Columns in basis pursuit's first working set.  The simplex prices every
 # column on every pivot: a pivot costs about 185 us on a 3 x 2(10^4 - 1)
 # LP, as wide as a theorem-a failure certificate, and 25 us on a 3 x 1024
@@ -266,11 +264,11 @@ def certify_uniqueness(gamma, y, result: RecoveryResult) -> RecoveryResult:
         value = max { -sigma'z_S : Gamma z = 0, ||z_C||_1 <= 1 } < 1
 
     (Fuchs 2004; Zhang, Yin & Cheng 2015).  The verdict is UNIQUE iff the
-    rank holds and value < 1 - UNIQUENESS_TOL, a margin on 1 - value.
+    rank holds and value < 1/(1 + simplex.FEAS_TOL), certify's tie band.
     The complete QR Gamma_S = [Q1 Q2][R1; 0] eliminates
     z_S = -R1^-1 Q1'Gamma_C z_C: value = _kernel_lp(Q2'Gamma_C, c) with
     c = Gamma_C'Q1 R1^-T sigma, one basis pursuit.  None runs when the rank
-    fails, or when ||c||_inf < 1 - UNIQUENESS_TOL: dropping the constraint
+    fails, or when ||c||_inf is below the same bound: dropping the constraint
     Q2'Gamma_C z_C = 0 can only raise the maximum, so value <= ||c||_inf,
     and the verdict is UNIQUE, as the LP's would be.
     A NOT_UNIQUE result carries witness_alt = x* + eps*z, with z the
@@ -296,10 +294,11 @@ def certify_uniqueness(gamma, y, result: RecoveryResult) -> RecoveryResult:
         q1, q2, r1 = q[:, :k], q[:, k:], r[:k]
         g_c = g[:, ~on_s]
         c = g_c.T @ (q1 @ np.linalg.solve(r1.T, sigma))
-        if np.abs(c).max(initial=0.0) < 1.0 - UNIQUENESS_TOL:
+        bound = 1.0 / (1.0 + simplex.FEAS_TOL)
+        if np.abs(c).max(initial=0.0) < bound:
             return replace(result, unique=UNIQUE, witness_alt=None)
         value, z_c = _kernel_lp(q2.T @ g_c, c)
-        if value < 1.0 - UNIQUENESS_TOL:
+        if value < bound:
             return replace(result, unique=UNIQUE, witness_alt=None)
         z[~on_s] = z_c
         z[s_idx] = -np.linalg.solve(r1, q1.T @ (g_c @ z_c))

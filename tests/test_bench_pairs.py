@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's verdicts and summaries, on made-up runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,26 @@ def test_summarize_strips_the_workload_of_workload_all():
     # not a workload: the name is looked up whole, and is unknown
     assert out["other.wall_rel"]["bound"] is None
     assert out["other.wall_rel"]["parent"]["runs"] == [1.0] * 10
+
+
+def test_workload_names_come_from_benchmark_json(tmp_path):
+    # a workload the script has never heard of still gets its metrics'
+    # directions and bounds: ok_frac is higher-is-better within 0.01
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec["workloads"].append({"name": "extra", "why": "made up"})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    names = ("extra.ok_frac", "extra.wall_rel", "extra.simplex.solve.calls",
+             "theorem_a.ok_frac")
+    pairs = [(run(dict.fromkeys(names, 1.0)), run(dict.fromkeys(names, 0.5)))
+             for _ in range(10)]
+    out = bp.summarize(pairs, bp._directions(tmp_path))
+    for name in ("extra.ok_frac", "theorem_a.ok_frac"):
+        assert out[name]["better"] == "higher"
+        assert out[name]["bound"] == 0.01
+        assert out[name]["verdict"] == "worse"
+    assert out["extra.wall_rel"]["bound"] == 0.25
+    assert out["extra.wall_rel"]["verdict"] == "better"
+    assert out["extra.simplex.solve.calls"]["better"] == "lower"
+    assert out["extra.simplex.solve.calls"]["bound"] is None
+    # a workload BENCHMARK.json does not list is no prefix
+    assert "extra.ok_frac" not in bp._directions(ROOT)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from spikybp import certify as ct, cli, recovery, rng, simplex
-from spikybp.ensemble import (EnsembleSpec, ScalarLaw, plan_parameters,
-                              sample_matrix, write_matrix_text)
+from spikybp.ensemble import (EnsembleSpec, MeasurementMatrix, ScalarLaw,
+                              plan_parameters, sample_matrix,
+                              write_matrix_text)
 from spikybp.recovery import (SparseVector, basis_pursuit, certify_uniqueness,
                              column_classes)
 
@@ -91,7 +92,7 @@ def test_certificate_is_the_least_l1_representation():
                                         (1.1e-9, False), (2e-9, False)])
 def test_certificate_tie_margin_is_feas_tol(eps, found):
     # the only representation of e_0 off its support has r = 1 + eps; a tie
-    # counts as a failure up to r <= ct.FAILURE_TAU = 1 + simplex.FEAS_TOL
+    # counts as a failure up to r <= 1 + simplex.FEAS_TOL
     g = np.array([[1.0, 1.0 / (1.0 + eps)], [0.0, 0.0]])
     cert = ct.er_failure_certificate(g, target(2, 0))
     assert (cert is not None) == found
@@ -199,15 +200,15 @@ def test_er1_decision_on_theorem_a_needs_one_lp_and_no_pinv(bp_count,
 
 def er1_against_oracle(g):
     """er_check_nsp(g, 1), run with warnings as errors, against the HiGHS
-    representation norms r: worst_value = 1 / (1 + min r) and the verdict
-    applies the strict margin rule to that value."""
+    representation norms r: worst_value = 1 / (1 + min r) and ER(1)
+    holds iff min r clears the tie band, min r > 1 + simplex.FEAS_TOL."""
     r = oracles.er1_representation_norms(g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verdict = ct.er_check_nsp(g, 1)
     expect = 1.0 / (1.0 + r.min())
     assert verdict.worst_value == pytest.approx(expect, abs=1e-9)
-    assert verdict.holds == (expect < 0.5 - ct.STRICT_MARGIN_TOL)
+    assert verdict.holds == (r.min() > 1.0 + simplex.FEAS_TOL)
     assert r[verdict.worst_support[0]] == pytest.approx(r.min(), abs=1e-9)
     assert verdict.worst_signs == (1,)
     return verdict
@@ -260,24 +261,57 @@ def test_nsp_guards(bp_count):
         ct.er_check_nsp(np.zeros((2, 1)), 2)
 
 
+def every_unit_target_unique(g):
+    """Is every +-e_j basis pursuit's unique minimizer of its own data?"""
+    for j, s in itertools.product(range(g.shape[1]), (1.0, -1.0)):
+        y = s * g[:, j]
+        res = certify_uniqueness(g, y, basis_pursuit(g, y))
+        expect = np.zeros(g.shape[1])
+        expect[j] = s
+        if not (res.unique == "unique"
+                and np.allclose(res.minimizer, expect, atol=1e-7)):
+            return False
+    return True
+
+
 def test_nsp_agrees_with_per_target_uniqueness():
     # ER(1) <=> every +-e_j is the unique BP minimizer of its own data
     for seed in range(6):
-        mat = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 12,
-                                         seed=seed))
-        g = mat.entries
-        verdict = ct.er_check_nsp(g, 1)
-        all_unique = True
-        for j in range(12):
-            for s in (1.0, -1.0):
-                y = s * g[:, j]
-                res = certify_uniqueness(g, y, basis_pursuit(g, y))
-                expect = np.zeros(12)
-                expect[j] = s
-                ok = (res.unique == "unique"
-                      and np.allclose(res.minimizer, expect, atol=1e-7))
-                all_unique = all_unique and ok
-        assert verdict.holds == all_unique, f"seed {seed}"
+        g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 12,
+                                       seed=seed)).entries
+        assert ct.er_check_nsp(g, 1).holds == every_unit_target_unique(g), \
+            f"seed {seed}"
+
+
+TAU = simplex.FEAS_TOL
+
+
+@pytest.mark.parametrize("eps", [0.5 * TAU, 0.9 * TAU, 1.1 * TAU, 2 * TAU,
+                                 3e-7, 7e-7, 2e-6], ids="{:.2g}".format)
+def test_one_tie_band_for_every_r_against_1_verdict(eps, tmp_path, capsys):
+    # column 3 = c (e1 + e2) has r_3 = 2c = 1 + eps, the least r_j; ER(1),
+    # the certificate search and uniqueness all flip at r = 1 + FEAS_TOL
+    c = (1.0 + eps) / 2.0
+    g = np.array([[1.0, 0.0, c], [0.0, 1.0, c]])
+    holds = eps > TAU
+    assert ct.er_check_nsp(g, 1).holds == holds
+    assert (ct.first_failure(g) == (None, None)) == holds
+    assert every_unit_target_unique(g) == holds
+    if eps not in (0.5 * TAU, 2 * TAU):
+        return  # the CLI at one eps on each side of the band
+    path = str(tmp_path / "m.txt")
+    write_matrix_text(MeasurementMatrix(2, 3, g, 1.0), path)
+    capsys.readouterr()
+    assert cli.run(["nsp", "--matrix", path, "--d", "1"]) == 0
+    assert capsys.readouterr().out.split()[0] == ("holds" if holds
+                                                  else "fails")
+    assert cli.run(["certify", "--matrix", path, "--target", "e3"]) == (
+        0 if holds else 2)
+    capsys.readouterr()
+    assert cli.run(["recover", "--matrix", path, "--target", "e3",
+                    "--unique"]) == 0
+    assert f"unique: {'unique' if holds else 'not_unique'}\n" in (
+        capsys.readouterr().out)
 
 
 def test_nsp_agrees_with_highs_on_gaussian_baseline_draws(lp_count):
@@ -310,7 +344,7 @@ def test_nsp_margin_pin_on_gaussian_baseline():
     t = int(np.argmin(margins))
     assert t == 53 and not verdicts[t].holds
     assert margins[t] == pytest.approx(9.899e-4, abs=5e-8)
-    assert margins[t] > 100 * ct.STRICT_MARGIN_TOL
+    assert margins[t] > 1e5 * simplex.FEAS_TOL
     assert sum(v.holds for v in verdicts) == 71
 
 

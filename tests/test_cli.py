@@ -231,6 +231,28 @@ def test_sample_and_theorem_a_refuse_a_plan_alike(tmp_path, capsys):
         "0.0329584 <= delta=0.01 <= 1.50219\n")
 
 
+BAD_R = "big_r must be nonnegative and finite"
+BAD_DELTA = "delta must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("law, message", [
+    (["--delta", "0.001", "--R", "-1"], BAD_R),
+    (["--delta", "1.5", "--R", "9"], BAD_DELTA),
+    (["--delta", "nan", "--R", "9"], BAD_DELTA),
+    (["--delta", "0.001", "--R", "nan"], BAD_R),
+])
+def test_a_forced_no_law_is_one_error_line(law, message, tmp_path, capsys):
+    # (delta, R) is checked as a law before any plan condition, so --force
+    # prints no plan warning ahead of the error, in sample and sweep alike
+    out = tmp_path / "out"
+    for argv in (["sample", "--N", "3", "--n", "10000", "--seed", "1"],
+                 ["sweep", "--N-list", "3,4", "--n-list", "10000",
+                  "--trials-list", "1", "--seed", "1", "--threads", "1"]):
+        assert cli.run(argv + ["--out", str(out), "--force"] + law) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_sample_rademacher_entries_are_half(tmp_path, capsys):
     # the control law: +-1 entries times the row scale 1/sqrt(N)
     out = tmp_path / "r.txt"

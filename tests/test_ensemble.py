@@ -133,6 +133,11 @@ def test_evaluate_plan_guards():
         evaluate_plan(1, 100, 0.1, 5.0)
     with pytest.raises(ValueError):
         evaluate_plan(10, 10, 0.1, 5.0)
+    # a (delta, R) that is no spiky law has no plan at all
+    for delta, big_r in ((0.001, -1.0), (1.5, 9.0), (math.nan, 9.0),
+                         (0.001, math.inf)):
+        with pytest.raises(ValueError):
+            evaluate_plan(3, 10**4, delta, big_r)
 
 
 def test_plan_law_roundtrip():

@@ -460,6 +460,17 @@ def test_sweep_empty_list_exits_1(tmp_path, capsys, ran):
     assert ran == []
 
 
+def test_sweep_empty_checks_exits_1(tmp_path, capsys, ran):
+    # an empty --checks list is refused like an empty sweep list, not
+    # read as a missing flag that runs the default checks
+    assert sweep(tmp_path, "--n-list", "5000", "--trials-list", "1",
+                 "--seed", "0", "--checks", ",") == 1
+    assert capsys.readouterr().err == (
+        "error: every sweep list, --checks too, must be nonempty\n")
+    assert ran == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("name", sorted(ex.KNOWN_CHECKS))
 def test_cell_rows_missing_checks_leave_fields_empty(tmp_path, name):
     own = {"failure_cert": ["failure_found", "witness_j"],

@@ -17,6 +17,10 @@ from spikybp.recovery import (NOT_UNIQUE, UNIQUE, UNKNOWN, NoSolutionError,
 import oracles
 
 
+# a strict-dual value below this is UNIQUE: r = 1/value clears the tie band
+UNIQUE_BELOW = 1.0 / (1.0 + simplex.FEAS_TOL)
+
+
 def assert_valid_witness(g, y, res):
     w = res.witness_alt
     assert w is not None
@@ -271,16 +275,18 @@ def test_small_nsp_margin_draws_are_unique():
                 assert res.unique == UNIQUE, (seed, unit, j, s)
 
 
-def test_uniqueness_agrees_with_er1_oracle(monkeypatch):
+def test_uniqueness_agrees_with_er1_oracle():
     # +-e_j is the unique minimizer iff the least l1 representation r_j of
-    # column j by the others exceeds 1; at x* = e_j the strict-dual value is
-    # 1 / r_j, so UNIQUENESS_TOL flips the verdict at 1 - 1/r_j.  These draws
-    # fail ER(1) at 5 columns, so both verdicts occur.
+    # column j by the others exceeds 1 + FEAS_TOL, the tie band; at x* = e_j
+    # the strict-dual value is 1 / r_j.  These draws fail ER(1) at 5
+    # columns, so both verdicts occur, and every r_j is far outside the
+    # band (test_one_tie_band_for_every_r_against_1_verdict probes it).
     failing = 0
     for t in range(3):
         g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 6, 20,
                                        rng.mix_seed(2026, t))).entries
         r = oracles.er1_representation_norms(g)
+        assert np.min(np.abs(r - 1.0)) > 1e-3
         failing += int(np.sum(r <= 1.0))
         for j in range(20):
             for s in (1.0, -1.0):
@@ -296,22 +302,15 @@ def test_uniqueness_agrees_with_er1_oracle(monkeypatch):
                 for res in (bp, at_e):
                     if res.unique == NOT_UNIQUE:
                         assert_valid_witness(g, y, res)
-                if r[j] > 1.0:
-                    margin = 1.0 - 1.0 / r[j]
-                    for scale, verdict in ((0.9, UNIQUE), (1.1, NOT_UNIQUE)):
-                        with monkeypatch.context() as m:
-                            m.setattr(rec, "UNIQUENESS_TOL", scale * margin)
-                            assert certify_uniqueness(
-                                g, y, at_e).unique == verdict
     assert failing == 5
 
 
-def test_uniqueness_matches_the_strict_dual_oracle(monkeypatch):
+def test_uniqueness_matches_the_strict_dual_oracle():
     # certify_uniqueness solves the strict-dual LP as basis pursuit on the
     # system reduced by Gamma_S's QR; HiGHS solves it with z_S free and a
     # budget row.  Supports of every size 1..m, k = m (no kernel rows) and
-    # S = every column (no z_C, so NoSolutionError, value 0, UNIQUE)
-    monkeypatch.setattr(rec, "UNIQUENESS_TOL", 0.0)
+    # S = every column (no z_C, so NoSolutionError, value 0, UNIQUE).  Every
+    # value is far outside the tie band, so HiGHS's tolerances cannot matter
     gen = np.random.default_rng(15)
     verdicts = {UNIQUE: 0, NOT_UNIQUE: 0}
     for t in range(4):
@@ -326,8 +325,10 @@ def test_uniqueness_matches_the_strict_dual_oracle(monkeypatch):
                 0.5, 2.0, s_idx.size)
             y = mat @ x
             value = oracles.strict_dual_value(mat, s_idx, np.sign(x[s_idx]))
+            assert abs(value - 1.0) > 1e-6
             res = certify_uniqueness(mat, y, RecoveryResult(x, np.abs(x).sum()))
-            assert res.unique == (UNIQUE if value < 1.0 else NOT_UNIQUE)
+            assert res.unique == (UNIQUE if value < UNIQUE_BELOW
+                                  else NOT_UNIQUE)
             if res.unique == NOT_UNIQUE:
                 assert_valid_witness(mat, y, res)
             verdicts[res.unique] += 1
@@ -340,8 +341,9 @@ def test_uniqueness_matches_the_strict_dual_oracle(monkeypatch):
 
 
 def test_uniqueness_bound_decides_without_an_lp(monkeypatch):
-    # ||c||_inf < 1 - tol bounds the strict-dual value, so these targets
-    # need no kernel LP; HiGHS's strict-dual value agrees with the verdict
+    # ||c||_inf < 1/(1 + FEAS_TOL) bounds the strict-dual value, so these
+    # targets need no kernel LP; HiGHS's strict-dual value agrees with the
+    # verdict
     g = sample_matrix(EnsembleSpec(ScalarLaw.gaussian(), 10, 20, 2)).entries
 
     def no_lp(a, c):
@@ -352,13 +354,12 @@ def test_uniqueness_bound_decides_without_an_lp(monkeypatch):
         for s in (1.0, -1.0):
             y = s * g[:, j]
             assert certify_uniqueness(g, y, basis_pursuit(g, y)).unique == UNIQUE
-            assert (oracles.strict_dual_value(g, [j], [s])
-                    < 1.0 - rec.UNIQUENESS_TOL)
+            assert oracles.strict_dual_value(g, [j], [s]) < UNIQUE_BELOW
 
 
 def test_uniqueness_lp_decides_past_the_bound(monkeypatch):
-    # ||c||_inf >= 1 - tol: one kernel LP runs and gives HiGHS's verdict,
-    # UNIQUE (the bound is loose there) or NOT_UNIQUE
+    # ||c||_inf >= 1/(1 + FEAS_TOL): one kernel LP runs and gives HiGHS's
+    # verdict, UNIQUE (the bound is loose there) or NOT_UNIQUE
     kernel_lp, bounds = rec._kernel_lp, []
 
     def counted(a, c):
@@ -382,11 +383,10 @@ def test_uniqueness_lp_decides_past_the_bound(monkeypatch):
     for g, x in cases:
         bounds.clear()
         res = certify_uniqueness(g, g @ x, RecoveryResult(x, np.abs(x).sum()))
-        assert len(bounds) == 1 and bounds[0] >= 1.0 - rec.UNIQUENESS_TOL
+        assert len(bounds) == 1 and bounds[0] >= UNIQUE_BELOW
         s_idx = np.flatnonzero(x)
         value = oracles.strict_dual_value(g, s_idx, np.sign(x[s_idx]))
-        assert res.unique == (UNIQUE if value < 1.0 - rec.UNIQUENESS_TOL
-                              else NOT_UNIQUE)
+        assert res.unique == (UNIQUE if value < UNIQUE_BELOW else NOT_UNIQUE)
         verdicts.append(res.unique)
     assert verdicts == [UNIQUE] * 3 + [NOT_UNIQUE] * 3
 

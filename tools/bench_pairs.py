@@ -18,8 +18,8 @@ runs the parent first when i is even and the change first when i is odd.
 - pairs: `perfbench/run.py --workload W --seed S --seconds T` (W may be
   all), reading the JSON on its last line.  Each metric gets both sides'
   runs, medians and quartiles, the pairs the change won, and a verdict
-  (see verdict()).  The direction and bound of an end-to-end metric come
-  from the change's BENCHMARK.json.
+  (see verdict()).  The direction and bound of an end-to-end metric, and
+  the workload names, come from the change's BENCHMARK.json.
 - trace: one `--trace 1` run per side; the unit-0 counts and per-layer
   metrics side by side.
 - pivots: microseconds per simplex pivot on five basis-pursuit LP shapes,
@@ -46,8 +46,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-WORKLOADS = ("theorem_a", "nsp_gaussian", "uniqueness", "l0_pairs")
 
 PIVOT_PROBE = r"""
 import json, statistics, time
@@ -193,23 +191,25 @@ def verdict(parent: list, change: list, lower_is_better: bool,
 
 
 def _directions(checkout: Path) -> dict:
+    """{metric: (lower is better, bound)} from the checkout's
+    BENCHMARK.json, under each metric's own name (a one-workload run) and
+    under "<workload>.<name>" for every workload it lists (--workload all)."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     rows = {m["name"]: (m["better"] == "lower", m.get("bound"))
             for m in spec["end_to_end"]}
     rows |= {m["name"]: (m["better"] == "lower", None)
              for m in spec["per_layer"]}
-    return rows
+    return rows | {f"{w['name']}.{name}": row
+                   for w in spec["workloads"] for name, row in rows.items()}
 
 
 def summarize(pairs: list, directions: dict) -> dict:
     """Per metric: both sides' runs and quartiles, wins and the verdict."""
     out = {}
     for name in sorted(pairs[0][0]["metrics"]):
-        head, _, rest = name.partition(".")
-        base = rest if head in WORKLOADS else name  # --workload all
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        lower, bound = directions.get(base, (True, None))
+        lower, bound = directions.get(name, (True, None))
         p, c = _quartiles(parent), _quartiles(change)
         out[name] = {
             "unit": pairs[0][0]["metrics"][name]["unit"],
