@@ -31,9 +31,6 @@ from . import recovery, simplex
 from .recovery import NoSolutionError, SparseVector, _entries, _kernel_lp
 from .simplex import IterationLimitError
 
-# Most sign vectors width_bound_check enumerates: N <= 17, with two
-# N x 2^(N-1) arrays of about 9 MB each at the limit.
-WIDTH_SIGN_BUDGET = 1 << 16
 PROJECTOR_BLOCK = 1 << 22  # entries of pinv(Gamma) Gamma formed at once
 FW_GAP_TOL = 1e-7  # Frank-Wolfe's stopping gap (_afw_min)
 FW_ITERATION_CAP = 100000
@@ -226,39 +223,6 @@ def clean_column_probability(n_rows: int, delta: float) -> float:
     if delta == 1.0:
         return 0.0
     return math.exp(n_rows * math.log1p(-delta))
-
-
-def width_bound_check(vectors, big_r: float) -> tuple[float, float, bool]:
-    """Exact inradius of absconv(v_1..v_N) against R/sqrt(N) - sqrt(N).
-
-    vectors[i] must be R*e_i + y_i with ||y_i||_inf <= 1.  With V holding
-    the vectors as rows, the support function at a unit u is ||V u||_inf, so
-    the inradius is 1/max ||V^-1 s||_2 over the sign vectors s with s_1 = +1
-    (the maximum of a convex function over the cube sits at a vertex).
-    A singular V spans a flat body: inradius 0.  Returns (bound, inradius,
-    inradius >= bound); N is limited by WIDTH_SIGN_BUDGET.
-    """
-    v = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    n = v.shape[0]
-    if v.shape != (n, n):
-        raise ValueError("need N vectors of dimension N")
-    if big_r <= 0.0:
-        raise ValueError("R must be positive")
-    perturb = v - big_r * np.eye(n)
-    if np.abs(perturb).max() > 1.0 + 1e-9:
-        raise ValueError("some ||v_i - R e_i||_inf exceeds 1")
-    if 2 ** (n - 1) > WIDTH_SIGN_BUDGET:
-        raise ValueError(f"N = {n} needs 2^{n - 1} sign vectors, more than "
-                         f"WIDTH_SIGN_BUDGET = {WIDTH_SIGN_BUDGET}")
-    bound = big_r / math.sqrt(n) - math.sqrt(n)
-    signs = np.array([(1.0,) + s for s in
-                      itertools.product((1.0, -1.0), repeat=n - 1)]).T
-    try:
-        inradius = 1.0 / float(np.linalg.norm(np.linalg.solve(v, signs),
-                                              axis=0).max())
-    except np.linalg.LinAlgError:
-        inradius = 0.0
-    return bound, inradius, inradius >= bound - 1e-9
 
 
 def _afw_min(a_s: np.ndarray, a_u: np.ndarray, sigma: np.ndarray,

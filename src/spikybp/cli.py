@@ -112,9 +112,11 @@ def _print_cell(cell_id: int, config, stats) -> None:
         lo, hi = st.wilson_95_interval
         print(f"    {name}: {st.successes}/{st.trials} "
               f"frequency={st.frequency!r} wilson=[{lo!r}, {hi!r}]")
-    phi_mean = _exp.field_mean(stats.records, "phi2")
-    if phi_mean is not None:
-        print(f"    phi2 mean={phi_mean!r}")
+    # a field whose event is not its own truth value has a mean of its own
+    for row in _exp.CHECKS:
+        st = stats.per_check.get(row.name)
+        if st is not None and row.event is not bool:
+            print(f"    {row.fields[0]} mean={st.mean!r}")
 
 
 def cmd_plan(args) -> int:
@@ -184,6 +186,12 @@ def cmd_nsp(args) -> int:
     return 0
 
 
+def _support(x) -> str:
+    """x on its support by recovery.support_tol, which certify_uniqueness
+    decides on."""
+    return _rec.SparseVector.from_dense(x, _rec.support_tol(x)).format()
+
+
 def cmd_recover(args) -> int:
     mat = read_matrix_text(args.matrix)
     y = _target_or_y(args, mat)
@@ -191,13 +199,11 @@ def cmd_recover(args) -> int:
     if args.unique:
         result = _rec.certify_uniqueness(mat, y, result)
     x = result.minimizer
-    show_tol = 1e-9 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
     print(f"l1_value = {result.l1_value!r}")
-    print(f"minimizer: {_rec.SparseVector.from_dense(x, show_tol).format()}")
+    print(f"minimizer: {_support(x)}")
     print(f"unique: {result.unique}")
     if result.witness_alt is not None:
-        w = result.witness_alt
-        print(f"witness_alt: {_rec.SparseVector.from_dense(w, show_tol).format()}")
+        print(f"witness_alt: {_support(result.witness_alt)}")
     if args.out:
         _rec.write_vector_text(x, args.out)
         print(f"wrote {args.out}")
@@ -235,6 +241,13 @@ def cmd_sweep(args) -> int:
     configs = [_cell_config(args, n_rows, n_cols, trials,
                             checks=args.checks or _exp.DEFAULT_CHECKS)
                for n_rows, n_cols, trials in itertools.product(*lists)]
+    # an --out that cannot be written fails here, not after every cell;
+    # a file made only for this probe goes again, as a failed sweep left none
+    made = not os.path.lexists(args.out)
+    with open(args.out, "a"):
+        pass
+    if made:
+        os.remove(args.out)
     cells = [(config, _exp.run_cell(config, threads=args.threads))
              for config in configs]
     _exp.write_csv(args.out, cells)

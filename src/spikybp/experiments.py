@@ -79,6 +79,7 @@ class CheckStats:
     trials: int
     frequency: float
     wilson_95_interval: tuple[float, float]
+    mean: float  # of the check's first field: the aggregate CSV column
 
 
 @dataclass
@@ -122,11 +123,15 @@ def resolve_plan(config: ExperimentConfig) -> ParameterPlan:
     return plan
 
 
-def _spike_event_all_rows(mask: np.ndarray) -> bool:
-    """Every row has a column j >= 2 spiky in that row and clean elsewhere."""
+def _spike_event_all_rows(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The proof's witness columns: for each row, the first column j >= 2
+    spiky in that row and clean elsewhere; None when a row has none, so
+    the all-rows spike event did not happen."""
     rest = mask[:, 1:]
-    single = rest.sum(axis=0) == 1
-    return bool(np.all((rest & single[None, :]).any(axis=1)))
+    witness = rest & (rest.sum(axis=0) == 1)
+    if not witness.any(axis=1).all():
+        return None
+    return tuple((witness.argmax(axis=1) + 1).tolist())
 
 
 def _failure_cert(mat, mask) -> dict:
@@ -152,7 +157,7 @@ CHECKS = (
     Check("clean_col", ("clean_col1",),
           lambda mat, mask: dict(clean_col1=not bool(mask()[:, 0].any()))),
     Check("spike_event", ("spike_event_all_rows",), lambda mat, mask: dict(
-        spike_event_all_rows=_spike_event_all_rows(mask()))),
+        spike_event_all_rows=_spike_event_all_rows(mask()) is not None)),
     Check("l0_unique", ("l0_unique",), _l0_unique),
     Check("phi2", ("phi2",),
           lambda mat, mask: dict(
@@ -212,26 +217,19 @@ def _single_blas_thread() -> None:
             return
 
 
-def _values(records: list[TrialRecord], field: str) -> list:
-    return [v for v in (getattr(r, field) for r in records) if v is not None]
-
-
-def field_mean(records: list[TrialRecord], field: str) -> float | None:
-    """Mean of a field over the trials that set it, or None: a check's
-    aggregate CSV column (for a 0/1 field, the frequency)."""
-    vals = _values(records, field)
-    return sum(vals) / len(vals) if vals else None
-
-
 def _aggregate(records: list[TrialRecord], checks) -> dict[str, CheckStats]:
+    """Per check, over the trials that set its first field: the count of
+    its event and the mean of the field (for a 0/1 field, the frequency)."""
     out = {}
     for name in sorted(checks):
         row = _ROWS[name]
-        vals = [row.event(v) for v in _values(records, row.fields[0])]
+        vals = [v for v in (getattr(r, row.fields[0]) for r in records)
+                if v is not None]
         if vals:
-            s = sum(1 for v in vals if v)
+            s = sum(1 for v in vals if row.event(v))
             out[name] = CheckStats(s, len(vals), s / len(vals),
-                                   wilson_95(s, len(vals)))
+                                   wilson_95(s, len(vals)),
+                                   sum(vals) / len(vals))
     return out
 
 
@@ -319,9 +317,10 @@ def _cell_rows(cell_id: int, config: ExperimentConfig,
     rows = [prefix + [r.trial, r.seed] + [getattr(r, f) for f in _COLUMNS]
             for r in stats.records]
     # the aggregate row fills each check's first column only
+    means = {name: st.mean for name, st in stats.per_check.items()}
     rows.append(prefix + [-1, None] + [
-        field_mean(stats.records, f) if k == 0 else None
-        for c in CHECKS for k, f in enumerate(c.fields)])
+        means.get(c.name) if k == 0 else None
+        for c in CHECKS for k in range(len(c.fields))])
     return [[_fmt_field(v) for v in row] for row in rows]
 
 

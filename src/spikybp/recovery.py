@@ -237,6 +237,13 @@ def basis_pursuit(gamma, y) -> RecoveryResult:
     return RecoveryResult(t, sol.objective_value, UNKNOWN)
 
 
+def support_tol(x) -> float:
+    """The entries of x above this, simplex.FEAS_TOL relative to its
+    largest |x_i|, are its support: the one rule of certify_uniqueness
+    and of the supports the CLI prints."""
+    return simplex.FEAS_TOL * float(np.abs(x).max(initial=0.0))
+
+
 def _kernel_lp(a: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     """(max c'z, z) over A z = 0, ||z||_1 <= 1, as basis pursuit.
 
@@ -256,10 +263,9 @@ def _kernel_lp(a: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
 def certify_uniqueness(gamma, y, result: RecoveryResult) -> RecoveryResult:
     """Resolve the unique field of a basis-pursuit result by the strict-dual test.
 
-    With S the support of x* = result.minimizer (entries above
-    simplex.FEAS_TOL relative to its largest), C the rest and
-    sigma = sign(x*_S), x* is the unique minimizer iff Gamma_S has full
-    column rank and
+    With S the support of x* = result.minimizer (support_tol), C the
+    rest and sigma = sign(x*_S), x* is the unique minimizer iff Gamma_S
+    has full column rank and
 
         value = max { -sigma'z_S : Gamma z = 0, ||z_C||_1 <= 1 } < 1
 
@@ -279,7 +285,7 @@ def certify_uniqueness(gamma, y, result: RecoveryResult) -> RecoveryResult:
     g, _ = _system(gamma, y)
     n_cols = g.shape[1]
     x = result.minimizer
-    on_s = np.abs(x) > simplex.FEAS_TOL * float(np.abs(x).max(initial=0.0))
+    on_s = np.abs(x) > support_tol(x)
     s_idx = np.nonzero(on_s)[0]
     sigma = np.sign(x[s_idx])
     k = s_idx.size

@@ -7,12 +7,14 @@ enumeration or HiGHS (box_to_standard gives the solver's form of one),
 simplex pivots through a loop that keeps its bookkeeping in arrays
 (reference_solve), probabilities through numpy.random Monte Carlo, the
 compatibility minimum through a dense grid plus an SLSQP polish (and, bit
-for bit, through Frank-Wolfe over every column), and l0 pairs through one
-dense solve per pair.  Slow is fine.
+for bit, through Frank-Wolfe over every column), l0 pairs through one
+dense solve per pair, and square systems exactly, by elimination in
+Fractions (exact_solve).  Slow is fine.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -562,6 +564,31 @@ def compat_every_column(g, s, l_budget, gap_tol=1e-7):
         beta[comp] = beta_c
     resid = a_s @ beta_s - (a_c @ beta_c if comp.size else 0.0)
     return len(s) * float(resid @ resid), beta, total_iters
+
+
+# ------------------------------------------------------- exact arithmetic
+
+def exact_solve(a, b):
+    """The x with A x = b, by Gaussian elimination in Fractions over the
+    entries as given (a double converts exactly); None if A is singular."""
+    n = len(a)
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)]
+            for row, bi in zip(a, b)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                for c in range(k, n + 1):
+                    rows[i][c] -= f * rows[k][c]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][c] * x[c]
+                                 for c in range(k + 1, n))) / rows[k][k]
+    return x
 
 
 # ------------------------------------------------------------ simulation

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -123,3 +124,49 @@ def test_workload_names_come_from_benchmark_json(tmp_path):
     assert out["extra.simplex.solve.calls"]["bound"] is None
     # a workload BENCHMARK.json does not list is no prefix
     assert "extra.ok_frac" not in bp._directions(ROOT)
+
+
+# perfbench/run.py of a fake checkout: its second call fails in the way
+# the checkout's file "fault" names; every other call prints one result
+FAKE_RUN = """
+import json, sys, time
+from pathlib import Path
+calls = Path("calls")
+n = int(calls.read_text()) + 1 if calls.exists() else 1
+calls.write_text(str(n))
+fault = Path("fault").read_text()
+if n == 2 and fault == "failed":
+    sys.exit(3)
+if n == 2 and fault == "timed out":
+    time.sleep(60)
+print("a log line")
+print("not json" if n == 2 else json.dumps(
+    {"correct": True, "metrics": {"wall_rel": {"value": 1.0, "unit": "ref"}}}))
+"""
+
+
+@pytest.mark.parametrize("fault, exit_code", [
+    ("failed", 3), ("timed out", None), ("no result", 0)])
+def test_a_run_at_fault_keeps_the_pairs_that_finished(tmp_path, monkeypatch,
+                                                      fault, exit_code):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "fault").write_text(fault)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    run = subprocess.run
+    monkeypatch.setattr(bp.subprocess, "run",
+                        lambda *a, **kw: run(*a, **{**kw, "timeout": 1.0}))
+    out = tmp_path / "bench.json"
+    assert bp.main(["pairs", "--parent", str(tmp_path / "parent"),
+                    "--change", str(tmp_path / "change"), "--workload",
+                    "theorem_a", "--pairs", "3", "--out", str(out)]) == 1
+    record = json.loads(out.read_text())["pairs theorem_a seed 2026"]
+    # pair 1 runs the parent, then the change; pair 2 starts with the
+    # change's second call
+    assert record["run_at_fault"] == {"side": "change", "pair": 2,
+                                      "exit_code": exit_code, "fault": fault}
+    assert record["correct"] == {"parent": [True], "change": [True]}
+    assert record["metrics"]["wall_rel"]["parent"]["runs"] == [1.0]
+    assert record["metrics"]["wall_rel"]["change"]["runs"] == [1.0]

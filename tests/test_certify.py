@@ -2,14 +2,16 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spikybp import certify as ct, cli, recovery, rng, simplex
+from spikybp import experiments as ex
 from spikybp.ensemble import (EnsembleSpec, MeasurementMatrix, ScalarLaw,
                               plan_parameters, sample_matrix,
-                              write_matrix_text)
+                              sample_spike_mask, write_matrix_text)
 from spikybp.recovery import (SparseVector, basis_pursuit, certify_uniqueness,
                              column_classes)
 
@@ -479,53 +481,70 @@ def test_probability_formulas_against_simulation():
     assert abs(covered0 - p_spike) <= 4.0 * se_spike
 
 
-# ---------------------------------------------------------------- widths
+# ------------------------------------------------------ the proof's witness
 
-def test_width_bound_check_diagonal():
-    n = 4
-    big_r = 40.0
-    bound, inradius, ok = ct.width_bound_check(big_r * np.eye(n), big_r)
-    assert bound == pytest.approx(big_r / math.sqrt(n) - math.sqrt(n))
-    # absconv(R e_i) is the cross-polytope of radius R: inradius R/sqrt(N)
-    assert inradius == pytest.approx(big_r / math.sqrt(n), rel=1e-12)
-    assert ok
-
-
-def _perturbed(n, big_r, seed):
-    gen = np.random.default_rng(seed)
-    return big_r * np.eye(n) + gen.uniform(-1.0, 1.0, (n, n))
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_width_bound_check_is_the_exact_inradius(n):
-    v = _perturbed(n, 6.0, n)
-    _, inradius, _ = ct.width_bound_check(v, 6.0)
-    # the support function at a unit u is max_i |v_i . u|; the maximizing
-    # sign vector's direction attains the inradius
-    best = max(itertools.product((1.0, -1.0), repeat=n),
-               key=lambda s: np.linalg.norm(np.linalg.solve(v, s)))
-    u = np.linalg.solve(v, best)
-    u /= np.linalg.norm(u)
-    assert np.abs(v @ u).max() == pytest.approx(inradius, rel=1e-12)
-    # and no direction has a smaller support
-    dirs = np.random.default_rng(100 + n).standard_normal((10_000, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    assert np.abs(dirs @ v.T).max(axis=1).min() >= inradius * (1 - 1e-12)
+def _worst_witness_l1(spike):
+    """max ||V^-1 a||_1 in Fractions over every N = 3 witness matrix V of
+    the unnormalized law, each column signed so that its spike is +spike
+    and +-1 elsewhere, and every clean column a in {+-1}^3."""
+    worst = 0
+    for off in itertools.product((1, -1), repeat=6):
+        entries = iter(off)
+        v = [[spike if i == j else next(entries) for j in range(3)]
+             for i in range(3)]
+        for a in itertools.product((1, -1), repeat=3):
+            worst = max(worst, sum(abs(x) for x in oracles.exact_solve(v, a)))
+    return worst
 
 
-def test_width_bound_check_singular_and_budget():
-    # R = 1 with y_i = -e_i + e_1 puts every vector on e_1: a flat body
-    v = np.zeros((3, 3))
-    v[:, 0] = 1.0
-    assert ct.width_bound_check(v, 1.0)[1] == 0.0
-    n = ct.WIDTH_SIGN_BUDGET.bit_length() + 1
-    with pytest.raises(ValueError, match="WIDTH_SIGN_BUDGET"):
-        ct.width_bound_check(10.0 * np.eye(n), 10.0)
+PLANNED_R = plan_parameters(3, 10**4).big_r
 
 
-def test_width_bound_check_rejects_large_perturbation():
-    with pytest.raises(ValueError):
-        ct.width_bound_check(3.0 * np.eye(2) + 1.5, 3.0)
+@pytest.mark.parametrize("big_r, want", [
+    (PLANNED_R, None),
+    (6.0, Fraction(3, 5)),  # R = 2N: condition C1's edge
+    (5.0, Fraction(3, 4)),
+    (4.0, Fraction(1)),  # a tie below 2N: C1 is sufficient, not necessary
+], ids=("planned_R", "R6", "R5", "R4"))
+def test_proof_witness_fails_basis_pursuit_on_every_n3_draw(big_r, want):
+    # The sampler's entries before its row scale are +-1 and +-(1 + R) in
+    # doubles, and V^-1 a does not change when both scale alike.  So over
+    # all 64 x 8 cases an all-rows spike event with a clean column 1 makes
+    # basis pursuit fail strictly at e1 whenever the worst is below 1.
+    worst = _worst_witness_l1(Fraction(1.0 + big_r))
+    if want is None:
+        assert worst < 1 and float(worst) == 0.4591025208585158
+    else:
+        assert worst == want
+
+
+def test_proof_witness_on_every_event_trial():
+    # On each seed-2026 theorem-a trial the CSV marks as an event, the
+    # witness columns V solve Gamma_V w = a_1 exactly over the matrix's
+    # doubles with ||w||_1 < 1: a failure certificate with N nonzeros,
+    # whose norm the LP's least r_0 (witness_j = 0) never exceeds.
+    stats = ex.run_cell(ex.ExperimentConfig(
+        3, 10**4, 200, 2026, checks={"failure_cert", "spike_event"}))
+    worst, events = 0, 0
+    for r in stats.records:
+        spec = EnsembleSpec(stats.plan.law(), 3, 10**4, r.seed)
+        cols = ex._spike_event_all_rows(sample_spike_mask(spec))
+        assert r.spike_event_all_rows == (cols is not None)
+        if cols is None:
+            continue
+        events += 1
+        g = sample_matrix(spec).entries
+        v, a1 = g[:, cols].tolist(), g[:, 0].tolist()
+        w = oracles.exact_solve(v, a1)
+        assert [sum(Fraction(vi) * wi for vi, wi in zip(row, w))
+                for row in v] == a1
+        l1 = sum(abs(x) for x in w)
+        assert l1 < 1
+        assert r.witness_j == 0
+        assert r.certificate.l1_witness <= l1 + 1e-12
+        worst = max(worst, l1)
+    assert events == 171
+    assert float(worst) == 0.4591025208585158  # the N = 3 worst case
 
 
 # ----------------------------------------------------- compatibility const

@@ -351,6 +351,21 @@ def test_recover_command(dup_file, tmp_path, capsys):
     assert x.shape == (3,)
 
 
+def test_recover_prints_the_support_it_decided_on(tmp_path, capsys):
+    # 1.5e-9 is above simplex.FEAS_TOL relative to the largest entry, so
+    # it is on the support that the l1 value counts and uniqueness decides
+    id2 = tmp_path / "id2.txt"
+    write_matrix_text(MeasurementMatrix(2, 2, np.eye(2), 1.0), id2)
+    y = tmp_path / "y.txt"
+    y.write_text("1 1.5e-9\n")
+    assert cli.run(["recover", "--matrix", str(id2), "--y", str(y),
+                    "--unique"]) == 0
+    assert capsys.readouterr().out == (
+        "l1_value = 1.0000000015\n"
+        "minimizer: 2; 0:1,1:1.5e-09\n"
+        "unique: unique\n")
+
+
 def test_recover_infeasible_y(tmp_path, capsys):
     z = tmp_path / "z.txt"
     m = tmp_path / "m.txt"
@@ -469,6 +484,26 @@ def test_sweep_command(tmp_path, capsys):
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
     assert len(rows) == 7
+
+
+def test_sweep_refuses_an_unwritable_out_before_any_cell(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("run_cell called")
+
+    monkeypatch.setattr(cli._exp, "run_cell", no_cell)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.run(cell("--trials-list", "40", "--seed", "1",
+                        "--out", str(out))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: [Errno 2] No such file or directory: "
+                            f"'{out}'\n")
+    # a writable --out is probed without leaving a file behind
+    out = tmp_path / "x.csv"
+    with pytest.raises(AssertionError, match="run_cell called"):
+        cli.run(cell("--trials-list", "40", "--seed", "1", "--out", str(out)))
+    assert not out.exists()
 
 
 def test_sweep_infeasible_exit_1(tmp_path, capsys):

@@ -96,19 +96,22 @@ def test_wilson_guards():
 # ------------------------------------------------------------ event logic
 
 def test_spike_event_all_rows_cases():
-    # column 0 never counts; a single-spike column covers its row
-    mask = np.array([[0, 1, 0, 0],
-                     [0, 0, 1, 0],
-                     [0, 0, 0, 1]], dtype=bool)
-    assert ex._spike_event_all_rows(mask)
-    # double-spike columns cover nobody
+    # a single-spike column is its row's witness; rows keep their order
+    mask = np.array([[0, 0, 1, 0],
+                     [0, 0, 0, 1],
+                     [0, 1, 0, 0]], dtype=bool)
+    assert ex._spike_event_all_rows(mask) == (2, 3, 1)
+    # the first witness of a row wins; double-spike columns cover nobody
+    mask = np.array([[0, 1, 0, 1, 1],
+                     [0, 1, 1, 0, 0]], dtype=bool)
+    assert ex._spike_event_all_rows(mask) == (3, 2)
     mask = np.array([[0, 1, 1],
                      [0, 1, 0]], dtype=bool)
-    assert not ex._spike_event_all_rows(mask)
-    # witness in column 0 does not count
+    assert ex._spike_event_all_rows(mask) is None
+    # a witness in column 0 does not count
     mask = np.array([[1, 0, 1],
                      [0, 0, 0]], dtype=bool)
-    assert not ex._spike_event_all_rows(mask)
+    assert ex._spike_event_all_rows(mask) is None
 
 
 def test_phi2_event_is_collapse_at_most_1e6():
@@ -117,6 +120,7 @@ def test_phi2_event_is_collapse_at_most_1e6():
                for i, v in enumerate((0.0, 1e-6, 2e-6, 1e-5))]
     stats = ex._aggregate(records, {"phi2"})["phi2"]
     assert (stats.successes, stats.trials) == (2, 4)
+    assert stats.mean == (0.0 + 1e-6 + 2e-6 + 1e-5) / 4
 
 
 # -------------------------------------------------------------- run_cell

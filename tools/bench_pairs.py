@@ -30,9 +30,11 @@ runs the parent first when i is even and the change first when i is odd.
   LP, time inside simplex.solve, rounds and pivots.
 
 Each mode merges its record into --out under a key naming the mode, the
-workload and the seed, and leaves the other keys as they are.  The
-script uses the standard library only; the probes of pivots and clean
-import numpy inside the checkouts.
+workload and the seed, and leaves the other keys as they are.  A run that
+fails, times out or prints no JSON result stops the script: the record
+then holds the pairs that finished and a run_at_fault entry, and the
+script exits 1.  The script uses the standard library only; the probes
+of pivots and clean import numpy inside the checkouts.
 """
 
 from __future__ import annotations
@@ -117,13 +119,28 @@ def _env(checkout: Path) -> dict:
     return env
 
 
+class RunFault(Exception):
+    """A run that failed, timed out or printed no JSON result; args[0] is
+    {"exit_code": ..., "fault": "failed" | "timed out" | "no result"}."""
+
+
 def _last_json(checkout: Path, cmd: list, timeout: float) -> dict:
-    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout),
-                          capture_output=True, text=True, timeout=timeout)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout),
+                              capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RunFault({"exit_code": None, "fault": "timed out"}) from None
     if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited "
-                         f"{proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        print(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n"
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
+        raise RunFault({"exit_code": proc.returncode, "fault": "failed"})
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if not isinstance(result, dict):
+        raise RunFault({"exit_code": 0, "fault": "no result"})
+    return result
 
 
 def _bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -138,16 +155,23 @@ def _probe(checkout: Path, code: str) -> dict:
     return _last_json(checkout, [sys.executable, "-c", code], timeout=1800)
 
 
-def _alternate(n_pairs: int, run) -> list:
-    """n_pairs (parent, change) results; the parent runs first in even
-    pairs.  run(side) returns one side's result."""
+def _alternate(n_pairs: int, run) -> tuple[list, dict | None]:
+    """(pairs, fault): up to n_pairs (parent, change) results, the parent
+    first in even pairs; run(side) returns one side's result.  The first
+    RunFault ends the loop, and fault is then its run_at_fault entry (side,
+    1-based pair, exit code, fault) with the pairs before it kept."""
     pairs = []
     for i in range(n_pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {side: run(side) for side in order}
+        got = {}
+        for side in order:
+            try:
+                got[side] = run(side)
+            except RunFault as exc:
+                return pairs, {"side": side, "pair": i + 1, **exc.args[0]}
         pairs.append((got["parent"], got["change"]))
         print(f"pair {i + 1}/{n_pairs} done", file=sys.stderr)
-    return pairs
+    return pairs, None
 
 
 def _quartiles(values: list) -> dict:
@@ -249,31 +273,35 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     if args.mode == "pairs":
-        pairs = _alternate(args.pairs, lambda side: _bench(
+        pairs, fault = _alternate(args.pairs, lambda side: _bench(
             sides[side], args.workload, args.seed, args.seconds, 0))
         record = {"command": f"perfbench/run.py --workload {args.workload} "
                              f"--seed {args.seed} --seconds {args.seconds}",
                   "correct": {"parent": [p["correct"] for p, _ in pairs],
                               "change": [c["correct"] for _, c in pairs]},
-                  "metrics": summarize(pairs, _directions(sides["change"]))}
+                  "metrics": (summarize(pairs, _directions(sides["change"]))
+                              if pairs else {})}
         key = f"pairs {args.workload} seed {args.seed}"
     elif args.mode == "trace":
-        got = {side: _bench(path, args.workload, args.seed, args.seconds, 1)
-               for side, path in sides.items()}
+        pairs, fault = _alternate(1, lambda side: _bench(
+            sides[side], args.workload, args.seed, args.seconds, 1))
+        got = dict(zip(("parent", "change"), pairs[0])) if pairs else {}
         record = {"command": f"perfbench/run.py --workload {args.workload} "
                              f"--seed {args.seed} --seconds {args.seconds} "
                              f"--trace 1",
                   "correct": {s: r["correct"] for s, r in got.items()},
                   "metrics": {name: {s: got[s]["metrics"][name]["value"]
                                      for s in sides}
-                              for name in sorted(got["parent"]["metrics"])}}
+                              for name in sorted(got["parent"]["metrics"])}
+                  if got else {}}
         key = f"trace {args.workload} seed {args.seed}"
     else:
         code = PIVOT_PROBE if args.mode == "pivots" else CLEAN_PROBE
-        pairs = _alternate(args.pairs, lambda side: _probe(sides[side], code))
+        pairs, fault = _alternate(args.pairs,
+                                  lambda side: _probe(sides[side], code))
         record = {"runs": {"parent": [p for p, _ in pairs],
                            "change": [c for _, c in pairs]}}
-        fields = pairs[0][0]
+        fields = pairs[0][0] if pairs else {}
         for side, at in (("parent", 0), ("change", 1)):
             runs = [pair[at] for pair in pairs]
             record[side] = (
@@ -282,7 +310,12 @@ def main(argv=None) -> int:
                 if args.mode == "pivots" else
                 {f: statistics.median(r[f] for r in runs) for f in fields})
         key = args.mode
+    if fault is not None:
+        record["run_at_fault"] = fault
     _record(args, key, record)
+    if fault is not None:
+        print(f"run at fault: {json.dumps(fault)}", file=sys.stderr)
+        return 1
     return 0
 
 
